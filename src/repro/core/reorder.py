@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.formats.radix import stable_argsort
 
 __all__ = ["counting_sort_desc", "order_by_length"]
 
@@ -19,10 +20,11 @@ def counting_sort_desc(lengths: np.ndarray) -> np.ndarray:
 
     Returns ``order`` such that ``lengths[order]`` is non-increasing and
     ties keep their original relative order (stability keeps the
-    transform deterministic).  Runs in O(n + max_length): items are
-    binned by (max_length - length) and a stable radix pass places them,
-    which is the counting sort the paper prescribes for power-law
-    length distributions.
+    transform deterministic).  Items are keyed by (max_length - length)
+    and placed by the linear-time radix sort of
+    :func:`~repro.formats.radix.stable_argsort` (one pass for lengths
+    below 2**16, two below 2**32) — the counting sort the paper
+    prescribes for power-law length distributions.
     """
     arr = np.asarray(lengths)
     if arr.ndim != 1:
@@ -31,9 +33,9 @@ def counting_sort_desc(lengths: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if arr.min() < 0:
         raise ValidationError("lengths must be non-negative")
-    bucket_of = int(arr.max()) - arr  # bucket 0 holds the longest items
-    # Stable sort on small integer keys = counting/radix sort, O(n + k).
-    return np.argsort(bucket_of, kind="stable").astype(np.int64)
+    longest = int(arr.max())
+    bucket_of = longest - arr  # bucket 0 holds the longest items
+    return stable_argsort(bucket_of, longest + 1).astype(np.int64)
 
 
 def order_by_length(lengths: np.ndarray) -> np.ndarray:

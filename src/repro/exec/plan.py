@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.exec.workspace import WorkspacePool
 from repro.formats.base import all_finite, coerce_array
+from repro.formats.radix import stable_argsort
 from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 
@@ -442,7 +443,7 @@ class CSCPlan(_GatherReducePlan):
         self.gather_cols = np.repeat(
             np.arange(csc.n_cols, dtype=np.int64), np.diff(csc.indptr)
         )
-        self.perm = np.argsort(csc.indices, kind="stable")
+        self.perm = stable_argsort(csc.indices, csc.n_rows)
         self.segments = _SegmentReduction.from_sorted_rows(
             csc.indices[self.perm], csc.n_rows
         )
@@ -463,7 +464,7 @@ class CMRSPlan(_GatherReducePlan):
         self.gather_cols = cmrs.cols
         self.values = cmrs.data
         rows = cmrs.entry_rows()
-        self.perm = np.argsort(rows, kind="stable")
+        self.perm = stable_argsort(rows, cmrs.n_rows)
         self.segments = _SegmentReduction.from_sorted_rows(
             rows[self.perm], cmrs.n_rows
         )
@@ -484,7 +485,7 @@ class RGCSRPlan(_GatherReducePlan):
         rows, cols, data = rgcsr._entry_arrays()
         self.gather_cols = cols
         self.values = data
-        self.perm = np.argsort(rows, kind="stable")
+        self.perm = stable_argsort(rows, rgcsr.n_rows)
         self.segments = _SegmentReduction.from_sorted_rows(
             rows[self.perm], rgcsr.n_rows
         )

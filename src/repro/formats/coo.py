@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, check_shape
+from repro.formats.radix import stable_argsort
 
 __all__ = ["COOMatrix"]
 
@@ -71,12 +72,29 @@ class COOMatrix(SparseMatrix):
         *,
         sum_duplicates: bool = True,
     ) -> "COOMatrix":
-        """Build from unsorted (and possibly duplicated) triples."""
+        """Build from unsorted (and possibly duplicated) triples.
+
+        Triples are ordered by (row, col) with a linear-time radix sort
+        (ties keep their input order: a stable lexicographic sort); input
+        already in that order skips the sort.  The result never shares
+        memory with the inputs.
+        """
+        n_rows, n_cols = check_shape(shape)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         data = np.asarray(data, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, data = rows[order], cols[order], data[order]
+        if not rows.size == cols.size == data.size:
+            raise ValidationError(
+                "rows, cols and data must have equal lengths "
+                f"({rows.size}, {cols.size}, {data.size})"
+            )
+        if _is_lexsorted(rows, cols):
+            rows, cols, data = rows.copy(), cols.copy(), data.copy()
+        else:
+            # LSD: column key first, then a stable pass on the row key.
+            order = stable_argsort(cols, n_cols)
+            order = order[stable_argsort(rows[order], n_rows)]
+            rows, cols, data = rows[order], cols[order], data[order]
         if sum_duplicates and rows.size:
             keep = np.ones(rows.size, dtype=bool)
             keep[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
@@ -139,11 +157,20 @@ class COOMatrix(SparseMatrix):
     # Utilities
     # ------------------------------------------------------------------
 
+    def column_order(self) -> np.ndarray:
+        """Permutation ordering the entries by (col, row), stably.
+
+        Rows are sorted by invariant, so one linear-time stable pass on
+        the column key yields the order of a full two-key sort.
+        """
+        return stable_argsort(self.cols, self.n_cols)
+
     def transpose(self) -> "COOMatrix":
         """Return the transposed matrix (row-sorted)."""
-        return COOMatrix.from_unsorted(
-            self.cols, self.rows, self.data, (self.n_cols, self.n_rows),
-            sum_duplicates=False,
+        order = self.column_order()
+        return COOMatrix(
+            self.cols[order], self.rows[order], self.data[order],
+            (self.n_cols, self.n_rows),
         )
 
     def permute(
@@ -168,6 +195,8 @@ class COOMatrix(SparseMatrix):
 
         Used by the multi-GPU row partitioner: each node keeps a local
         slice of rows but the full column space (it needs all of ``x``).
+        Ascending ``row_ids`` keep a (row, col)-ordered matrix in order,
+        so the slice is built without a sort.
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
         lookup = np.full(self.n_rows, -1, dtype=np.int64)
@@ -199,3 +228,13 @@ class COOMatrix(SparseMatrix):
             self.data[mask],
             (self.n_rows, stop - start),
         )
+
+
+def _is_lexsorted(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the pairs are in non-decreasing (row, col) order."""
+    if rows.size < 2:
+        return True
+    row_step = np.diff(rows)
+    if (row_step < 0).any():
+        return False
+    return not ((row_step == 0) & (np.diff(cols) < 0)).any()

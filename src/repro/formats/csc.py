@@ -12,6 +12,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, check_shape
 from repro.formats.coo import COOMatrix
+from repro.formats.radix import stable_argsort
 
 __all__ = ["CSCMatrix"]
 
@@ -56,8 +57,8 @@ class CSCMatrix(SparseMatrix):
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
-        """Build from a COO matrix (any row order)."""
-        order = np.lexsort((coo.rows, coo.cols))
+        """Build from a COO matrix."""
+        order = coo.column_order()
         cols = coo.cols[order]
         counts = np.bincount(cols, minlength=coo.n_cols)
         indptr = np.zeros(coo.n_cols + 1, dtype=np.int64)
@@ -78,9 +79,12 @@ class CSCMatrix(SparseMatrix):
         return CSCPlan(self)
 
     def to_coo(self) -> COOMatrix:
+        # Columns are stored in order, so one stable pass on the row key
+        # yields the (row, col) order.
         col_of = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
-        return COOMatrix.from_unsorted(
-            self.indices, col_of, self.data, self.shape, sum_duplicates=False
+        order = stable_argsort(self.indices, self.n_rows)
+        return COOMatrix(
+            self.indices[order], col_of[order], self.data[order], self.shape
         )
 
     def _compute_col_lengths(self) -> np.ndarray:

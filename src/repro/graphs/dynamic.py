@@ -79,12 +79,14 @@ DEFAULT_NNZ_DELTA = 0.25
 
 
 class _OverlayState:
-    """One immutable snapshot of the overlay.
+    """One immutable snapshot of the base matrix plus its overlay.
 
     ``apply_updates``/``compact`` build a fresh instance and publish it
     with a single reference assignment, so concurrent readers always
-    see a consistent (touched_rows, entries, version) triple — the
-    property the query-during-update hammer test leans on.
+    see a consistent (base, touched_rows, entries, version) tuple — the
+    property the query-during-update hammer test leans on.  The base
+    rides in the snapshot because a compacting batch replaces base and
+    overlay together.
 
     ``cols``/``data`` hold **all** current entries of the touched rows
     (base survivors plus upserts, post-delete), sorted by (row, col);
@@ -97,6 +99,7 @@ class _OverlayState:
     """
 
     __slots__ = (
+        "base",
         "touched_rows",
         "cols",
         "data",
@@ -107,9 +110,10 @@ class _OverlayState:
     )
 
     def __init__(
-        self, touched_rows, cols, data, indptr, version, delta_ops,
+        self, base, touched_rows, cols, data, indptr, version, delta_ops,
         base_touched_nnz,
     ):
+        self.base = base
         self.touched_rows = touched_rows
         self.cols = cols
         self.data = data
@@ -121,10 +125,10 @@ class _OverlayState:
             arr.setflags(write=False)
 
     @classmethod
-    def empty(cls, version: int = 0) -> "_OverlayState":
+    def empty(cls, base, version: int = 0) -> "_OverlayState":
         e = np.zeros(0, dtype=np.int64)
         return cls(
-            e, e, np.zeros(0, dtype=np.float64),
+            base, e, e, np.zeros(0, dtype=np.float64),
             np.zeros(1, dtype=np.int64), version, 0, 0,
         )
 
@@ -232,16 +236,16 @@ class DynamicMatrix(SparseMatrix):
             )
         self.shape = base.shape
         self.nnz_delta = nnz_delta
-        self._base = base
         self._spec = spec_for(base)
         #: Non-bitwise layouts cannot keep untouched rows bit-stable
         #: under an overlay pass; fold every batch immediately.
         self._eager_compact = self._spec is None or not self._spec.bitwise
-        self._state = _OverlayState.empty()
+        self._state = _OverlayState.empty(base)
         self._lock = threading.Lock()
         self._plan_cache: dict[str, tuple[int, SpMVPlan]] = {}
-        self._base_indptr: np.ndarray | None = None
-        self._base_coo: COOMatrix | None = None
+        #: (base, derived array) pairs, valid while that base is current.
+        self._base_indptr: tuple[SparseMatrix, np.ndarray] | None = None
+        self._base_coo: tuple[SparseMatrix, COOMatrix] | None = None
         self._coo_cache: tuple[int, COOMatrix] | None = None
         self._lengths_cache: tuple[int, np.ndarray, np.ndarray] | None = None
         #: Honest operation counters (mirrored as ``dynamic.*`` metrics
@@ -263,7 +267,7 @@ class DynamicMatrix(SparseMatrix):
     @property
     def base(self) -> SparseMatrix:
         """The current compacted base matrix (read-only view)."""
-        return self._base
+        return self._state.base
 
     @property
     def format_name(self) -> str | None:
@@ -282,12 +286,12 @@ class DynamicMatrix(SparseMatrix):
     @property
     def nnz(self) -> int:
         state = self._state
-        return self._base.nnz - state.base_touched_nnz + state.data.size
+        return state.base.nnz - state.base_touched_nnz + state.data.size
 
     @property
     def nbytes(self) -> int:
         state = self._state
-        return self._base.nbytes + self._array_bytes(
+        return state.base.nbytes + self._array_bytes(
             state.touched_rows, state.cols, state.data, state.indptr
         )
 
@@ -317,8 +321,8 @@ class DynamicMatrix(SparseMatrix):
         if cached is not None and cached[0] == state.version:
             return cached[1], cached[2]
         if state.touched_rows.size == 0:
-            rl = np.asarray(self._base.row_lengths())
-            cl = np.asarray(self._base.col_lengths())
+            rl = np.asarray(state.base.row_lengths())
+            cl = np.asarray(state.base.col_lengths())
         else:
             coo = self._merged_coo(state)
             rl = np.bincount(coo.rows, minlength=self.n_rows)
@@ -345,7 +349,7 @@ class DynamicMatrix(SparseMatrix):
         key = _resolve(backend)
         state = self._state
         if state.touched_rows.size == 0:
-            return self._base.spmv_plan(key)
+            return state.base.spmv_plan(key)
         cached = self._plan_cache.get(key)
         if cached is not None and cached[0] == state.version:
             return cached[1]
@@ -360,7 +364,7 @@ class DynamicMatrix(SparseMatrix):
     def _make_plan(self, backend: str, state) -> SpMVPlan:
         from repro.exec.backends import build_plan
 
-        base_plan = self._base.spmv_plan(backend)
+        base_plan = state.base.spmv_plan(backend)
         if state.touched_rows.size == 0:
             return base_plan
         # The overlay arrays *are* the touched-row submatrix in CSR
@@ -392,7 +396,10 @@ class DynamicMatrix(SparseMatrix):
         batch the last operation on a coordinate wins; an upsert with
         ``0.0`` stores an explicit zero.  The batch commits atomically:
         a validation error or injected fault leaves the matrix exactly
-        as it was.
+        as it was.  A batch that reaches the compaction threshold is
+        compacted inside the same commit, so every batch publishes
+        exactly one ``data_version`` and readers never see an overlay
+        state the writer does not return.
         """
         if options:
             raise ValidationError(
@@ -406,32 +413,37 @@ class DynamicMatrix(SparseMatrix):
             )
         if op_rows.size == 0:
             return self
+        repaired = None
         with self._lock:
-            state = self._state
             new_state = self._apply_locked(
-                state, op_rows, op_cols, op_vals, op_dels
+                self._state, op_rows, op_cols, op_vals, op_dels
             )
-            self._state = new_state
+            if self._eager_compact or self._over_threshold(new_state):
+                repaired = self._compact_locked(new_state, new_state.version)
+            else:
+                self._state = new_state
             self.stats["batches"] += 1
             self.stats["updates"] += int(op_rows.size)
         if _metrics._ENABLED:
             _metrics.METRICS.inc("dynamic.batches")
             _metrics.METRICS.inc("dynamic.updates", float(op_rows.size))
-            _metrics.METRICS.set_gauge(
-                "dynamic.overlay_nnz", float(self._state.data.size)
-            )
-            _metrics.METRICS.set_gauge(
-                "dynamic.touched_rows", float(self._state.touched_rows.size)
-            )
-        if self._eager_compact or self._over_threshold():
-            self.compact()
+            if repaired is None:
+                _metrics.METRICS.set_gauge(
+                    "dynamic.overlay_nnz", float(new_state.data.size)
+                )
+                _metrics.METRICS.set_gauge(
+                    "dynamic.touched_rows",
+                    float(new_state.touched_rows.size),
+                )
+            else:
+                self._count_compaction(repaired)
         return self
 
-    def _over_threshold(self) -> bool:
+    def _over_threshold(self, state) -> bool:
         limit = self.nnz_delta
         if isinstance(limit, float):
-            limit = limit * max(self._base.nnz, 1)
-        return self._state.delta_ops >= max(limit, 1)
+            limit = limit * max(state.base.nnz, 1)
+        return state.delta_ops >= max(limit, 1)
 
     def _normalise(self, updates):
         """Validate a batch and dedupe it to last-write-wins arrays.
@@ -543,35 +555,36 @@ class DynamicMatrix(SparseMatrix):
         last = _last_per_pair(rows, cols)
         return rows[last], cols[last], vals[last], dels[last]
 
-    def _base_canonical_coo(self) -> COOMatrix:
-        """Cached canonical COO of the base (invalidated by compaction).
+    def _base_canonical_coo(self, base) -> COOMatrix:
+        """Cached canonical COO of ``base``.
 
         Formats materialise ``to_coo`` fresh on every call; the overlay
         needs it every batch, so one copy is kept for the base's
-        lifetime.
+        lifetime (the cache entry names its base, so a reader racing a
+        compaction can never pair one base with another's COO).
         """
-        coo = self._base_coo
-        if coo is None:
-            coo = self._base.to_coo()
-            self._base_coo = coo
-        return coo
+        cached = self._base_coo
+        if cached is None or cached[0] is not base:
+            cached = (base, base.to_coo())
+            self._base_coo = cached
+        return cached[1]
 
-    def _base_row_ptr(self) -> np.ndarray:
-        """Cached row pointer over the base's canonical COO (invalidated
-        by compaction)."""
-        indptr = self._base_indptr
-        if indptr is None:
-            coo = self._base_canonical_coo()
+    def _base_row_ptr(self, base) -> np.ndarray:
+        """Cached row pointer over the canonical COO of ``base``."""
+        cached = self._base_indptr
+        if cached is None or cached[0] is not base:
+            coo = self._base_canonical_coo(base)
             indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
             if coo.nnz:
                 np.cumsum(
                     np.bincount(coo.rows, minlength=self.n_rows),
                     out=indptr[1:],
                 )
-            self._base_indptr = indptr
-        return indptr
+            cached = (base, indptr)
+            self._base_indptr = cached
+        return cached[1]
 
-    def _base_entries_of(self, row_ids):
+    def _base_entries_of(self, base, row_ids):
         """Triples of the base matrix restricted to ``row_ids`` (sorted),
         keeping original row numbers.
 
@@ -579,11 +592,11 @@ class DynamicMatrix(SparseMatrix):
         + entries gathered) per call, so a stream of small batches
         never pays a full-nnz scan per batch.
         """
-        coo = self._base_canonical_coo()
+        coo = self._base_canonical_coo(base)
         if row_ids.size == 0 or coo.nnz == 0:
             e = np.zeros(0, dtype=np.int64)
             return e, e, np.zeros(0, dtype=np.float64)
-        indptr = self._base_row_ptr()
+        indptr = self._base_row_ptr(base)
         starts = indptr[row_ids]
         idx = _gather_runs(starts, indptr[row_ids + 1] - starts)
         if idx.size == 0:
@@ -609,7 +622,7 @@ class DynamicMatrix(SparseMatrix):
             in_prev = np.zeros(affected.size, dtype=bool)
             edited_local = np.zeros(0, dtype=np.int64)
         newly = affected[~in_prev]
-        base_r, base_c, base_d = self._base_entries_of(newly)
+        base_r, base_c, base_d = self._base_entries_of(state.base, newly)
         ov_idx = _gather_runs(
             prev_indptr[edited_local], prev_counts[edited_local]
         )
@@ -701,12 +714,12 @@ class DynamicMatrix(SparseMatrix):
         dest = _gather_runs(indptr[loc_aff], aff_counts)
         out_c[dest] = aff_c
         out_v[dest] = aff_v
-        bp = self._base_row_ptr()
+        bp = self._base_row_ptr(state.base)
         base_touched_nnz = state.base_touched_nnz + int(
             (bp[newly + 1] - bp[newly]).sum()
         )
         return _OverlayState(
-            touched, out_c, out_v, indptr,
+            state.base, touched, out_c, out_v, indptr,
             state.version + 1,
             state.delta_ops + int(op_rows.size),
             base_touched_nnz,
@@ -724,12 +737,12 @@ class DynamicMatrix(SparseMatrix):
         already carries its entries in per-row (ascending column)
         order, so rank-within-row arithmetic places every triple.
         """
-        base_coo = self._base_canonical_coo()
+        base_coo = self._base_canonical_coo(state.base)
         touched = state.touched_rows
         if touched.size == 0:
             return base_coo
         n_rows = self.n_rows
-        base_indptr = self._base_row_ptr()
+        base_indptr = self._base_row_ptr(state.base)
         base_rl = np.diff(base_indptr)
         ov_counts = np.diff(state.indptr)
         final_rl = base_rl.copy()
@@ -778,48 +791,57 @@ class DynamicMatrix(SparseMatrix):
             state = self._state
             if state.touched_rows.size == 0:
                 return self
-            merged = self._merged_coo(state)
-            spec = self._spec
-            if _faults._ARMED:
-                _faults.INJECTOR.fire(
-                    "dynamic.compact",
-                    version=state.version,
-                    overlay_nnz=int(state.data.size),
-                )
-            if spec is None:
-                # Unregistered base type: the canonical COO *is* the
-                # compacted matrix (counted as a rebuild — there is no
-                # repair contract to honour).
-                new_base = merged
-                repaired = False
-            elif spec.supports_repair and spec.repair is not None:
-                new_base = spec.repair(merged)
-                repaired = True
-            else:
-                new_base = spec.build(merged)
-                repaired = False
-            self._base = new_base
-            self._state = _OverlayState.empty(state.version + 1)
-            self._base_indptr = None
-            self._base_coo = None
-            self._coo_cache = None
-            self._lengths_cache = None
-            self._plan_cache.clear()
-            self.stats["compactions"] += 1
-            self.stats["repairs" if repaired else "rebuilds"] += 1
+            repaired = self._compact_locked(state, state.version + 1)
         if _metrics._ENABLED:
-            _metrics.METRICS.inc("dynamic.compactions")
-            _metrics.METRICS.inc(
-                "dynamic.repairs" if repaired else "dynamic.rebuilds",
-                format=self.format_name or "unregistered",
-            )
-            _metrics.METRICS.set_gauge("dynamic.overlay_nnz", 0.0)
-            _metrics.METRICS.set_gauge("dynamic.touched_rows", 0.0)
+            self._count_compaction(repaired)
         return self
+
+    def _compact_locked(self, state, version: int) -> bool:
+        """Fold ``state`` into a new base published as ``version``;
+        returns whether the format repaired incrementally.  Runs under
+        ``_lock``; the fault site fires before anything is published."""
+        merged = self._merged_coo(state)
+        spec = self._spec
+        if _faults._ARMED:
+            _faults.INJECTOR.fire(
+                "dynamic.compact",
+                version=state.version,
+                overlay_nnz=int(state.data.size),
+            )
+        if spec is None:
+            # Unregistered base type: the canonical COO *is* the
+            # compacted matrix (counted as a rebuild — there is no
+            # repair contract to honour).
+            new_base = merged
+            repaired = False
+        elif spec.supports_repair and spec.repair is not None:
+            new_base = spec.repair(merged)
+            repaired = True
+        else:
+            new_base = spec.build(merged)
+            repaired = False
+        self._state = _OverlayState.empty(new_base, version)
+        self._base_indptr = None
+        self._base_coo = None
+        self._coo_cache = None
+        self._lengths_cache = None
+        self._plan_cache.clear()
+        self.stats["compactions"] += 1
+        self.stats["repairs" if repaired else "rebuilds"] += 1
+        return repaired
+
+    def _count_compaction(self, repaired: bool) -> None:
+        _metrics.METRICS.inc("dynamic.compactions")
+        _metrics.METRICS.inc(
+            "dynamic.repairs" if repaired else "dynamic.rebuilds",
+            format=self.format_name or "unregistered",
+        )
+        _metrics.METRICS.set_gauge("dynamic.overlay_nnz", 0.0)
+        _metrics.METRICS.set_gauge("dynamic.touched_rows", 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DynamicMatrix({type(self._base).__name__}, shape={self.shape}, "
+            f"DynamicMatrix({type(self.base).__name__}, shape={self.shape}, "
             f"nnz={self.nnz}, overlay={self.overlay_nnz}, "
             f"version={self.data_version})"
         )

@@ -44,16 +44,15 @@ def hits_operator(adjacency: COOMatrix) -> COOMatrix:
     if adjacency.n_rows != adjacency.n_cols:
         raise ValidationError("HITS needs a square adjacency matrix")
     n = adjacency.n_rows
-    # Top-right block: A^T at rows [0, n), columns [n, 2n).
-    top_rows = adjacency.cols
-    top_cols = adjacency.rows + n
-    # Bottom-left block: A at rows [n, 2n), columns [0, n).
-    bottom_rows = adjacency.rows + n
-    bottom_cols = adjacency.cols
+    # Top-right block: A^T at rows [0, n), columns [n, 2n), already in
+    # (row, col) order.  Bottom-left block: A at rows [n, 2n), columns
+    # [0, n); ``from_unsorted`` only sorts if A's columns are out of
+    # order within a row.
+    top = adjacency.transpose()
     return COOMatrix.from_unsorted(
-        np.concatenate([top_rows, bottom_rows]),
-        np.concatenate([top_cols, bottom_cols]),
-        np.concatenate([adjacency.data, adjacency.data]),
+        np.concatenate([top.rows, adjacency.rows + n]),
+        np.concatenate([top.cols + n, adjacency.cols]),
+        np.concatenate([top.data, adjacency.data]),
         (2 * n, 2 * n),
         sum_duplicates=False,
     )

@@ -39,19 +39,21 @@ def pagerank_operator(adjacency: COOMatrix) -> COOMatrix:
 
     Entry ``(v, u)`` of the operator is ``1 / outdeg(u)`` for each edge
     ``u -> v`` — a random surfer on ``u`` moves to ``v`` with that
-    probability.
+    probability.  Built as a transpose in
+    :meth:`~repro.formats.coo.COOMatrix.column_order`, gathering the
+    weights ``1 / outdeg(src)`` directly instead of the adjacency data
+    (every stored source has out-degree at least one).
     """
     if adjacency.n_rows != adjacency.n_cols:
         raise ValidationError("PageRank needs a square adjacency matrix")
-    out_deg = adjacency.row_lengths().astype(np.float64)
-    weights = np.where(out_deg[adjacency.rows] > 0,
-                       1.0 / np.maximum(out_deg[adjacency.rows], 1), 0.0)
-    return COOMatrix.from_unsorted(
-        adjacency.cols,
-        adjacency.rows,
-        weights,
+    inv_deg = 1.0 / np.maximum(adjacency.row_lengths(), 1).astype(np.float64)
+    order = adjacency.column_order()
+    src = adjacency.rows[order]
+    return COOMatrix(
+        adjacency.cols[order],
+        src,
+        inv_deg[src],
         (adjacency.n_cols, adjacency.n_rows),
-        sum_duplicates=False,
     )
 
 

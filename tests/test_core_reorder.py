@@ -32,6 +32,23 @@ class TestCountingSortDesc:
         with pytest.raises(ValidationError):
             counting_sort_desc(np.ones((2, 2)))
 
+    def test_fractional_weights(self):
+        # Float weights (the sharded executor's measured-cost deal) must
+        # order by value, fraction included.
+        order = counting_sort_desc(np.array([1.2, 1.9, 3.5, 1.9]))
+        assert list(order) == [2, 1, 3, 0]
+
+    def test_large_float_weights(self):
+        weights = np.array([1.5, 70000.25, 3.0, 70000.75, 65536.0])
+        order = counting_sort_desc(weights)
+        assert list(order) == [3, 1, 4, 2, 0]
+
+    def test_large_integer_lengths(self):
+        # Lengths at or above 2**16 take the two-pass radix path.
+        lengths = np.array([5, 2**16, 3, 2**20 + 7, 2**16, 0])
+        order = counting_sort_desc(lengths)
+        assert list(order) == [3, 1, 4, 0, 2, 5]
+
     def test_alias(self):
         lengths = np.array([4, 1, 9])
         assert list(order_by_length(lengths)) == list(
@@ -49,3 +66,18 @@ def test_counting_sort_properties(values):
     # ...producing a non-increasing sequence.
     sorted_lengths = lengths[order]
     assert np.all(np.diff(sorted_lengths) <= 0)
+
+
+@given(
+    st.lists(
+        st.floats(0, 2.0**17, allow_nan=False, allow_infinity=False),
+        max_size=300,
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_counting_sort_float_matches_stable_argsort(values):
+    weights = np.asarray(values, dtype=np.float64)
+    order = counting_sort_desc(weights)
+    # Reference: the stable argsort of the same descending keys.
+    keys = int(weights.max()) - weights if weights.size else weights
+    assert list(order) == list(np.argsort(keys, kind="stable"))

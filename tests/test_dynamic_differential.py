@@ -16,13 +16,14 @@ rebuild, batches must commit atomically, and the steady state must stay
 on cached plans.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ValidationError
+from repro.errors import InjectedFault, ValidationError
 from repro.exec import available_backends, build_plan
 from repro.exec.sharded import ShardedExecutor
 from repro.formats.coo import COOMatrix
@@ -32,6 +33,9 @@ from repro.graphs.dynamic import (
     DynamicMatrix,
     seeded_update_stream,
 )
+from repro.resilience import FaultSpec
+from repro.resilience import faults as faults_mod
+from repro.resilience.faults import INJECTOR
 from tests.test_exec_engine import build
 
 ALL_FORMATS = format_names()
@@ -277,6 +281,46 @@ def test_batch_commits_atomically():
         assert dyn.to_coo() is before  # cache untouched: no state change
 
 
+def test_compaction_fault_rolls_back_whole_batch():
+    """A compaction fault inside a compacting batch rolls the batch back:
+    version, overlay, stats and the merged matrix stay as they were, and
+    the same batch commits once the fault is cleared."""
+    dyn = DynamicMatrix(build("csr", random_coo(seed=8)), nnz_delta=3)
+    dyn.apply_updates([("insert", 0, 0, 1.0)])
+    version = dyn.data_version
+    overlay_nnz = dyn.overlay_nnz
+    stats = dict(dyn.stats)
+    before = dyn.to_coo()
+    batch = [("insert", 1, 1, 2.0), ("delete", 2, 2), ("insert", 3, 0, 5.0)]
+    was_armed = faults_mod.armed()
+    faults_mod.arm()
+    INJECTOR.configure(
+        FaultSpec("dynamic.compact", "error", probability=1.0), seed=29
+    )
+    try:
+        with pytest.raises(InjectedFault):
+            dyn.apply_updates(batch)
+    finally:
+        INJECTOR.clear()
+        if not was_armed:
+            faults_mod.disarm()
+    assert dyn.data_version == version
+    assert dyn.overlay_nnz == overlay_nnz
+    assert dyn.stats == stats
+    assert dyn.to_coo() is before  # cache untouched: no state change
+
+    dyn.apply_updates(batch)
+    assert dyn.data_version == version + 1
+    assert dyn.overlay_nnz == 0
+    assert dyn.stats["compactions"] == stats["compactions"] + 1
+    expected = DynamicMatrix(build("csr", random_coo(seed=8)), nnz_delta=100)
+    expected.apply_updates([("insert", 0, 0, 1.0)] + batch)
+    got, want = dyn.to_coo(), expected.to_coo()
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
 def test_steady_state_reuses_cached_plans():
     dyn = DynamicMatrix(build("csr", random_coo(seed=6)))
     x = np.random.default_rng(3).random(dyn.n_cols)
@@ -306,11 +350,67 @@ def test_version_and_threshold_compaction():
         ("insert", 1, 1, 1.0), ("insert", 2, 2, 1.0),
         ("insert", 3, 3, 1.0),
     ])
-    # 4 pending ops >= the absolute threshold: compacted, version
-    # bumped again by the fold.
+    # 4 pending ops >= the absolute threshold: compacted inside the
+    # batch's own commit, so the batch still publishes one version.
     assert dyn.stats["compactions"] == 1
     assert dyn.overlay_nnz == 0
-    assert dyn.data_version == v0 + 3
+    assert dyn.data_version == v0 + 2
+    # An explicit compaction of an empty overlay publishes nothing.
+    dyn.compact()
+    assert dyn.data_version == v0 + 2
+
+
+def test_compacting_batch_publishes_one_version():
+    """A batch that compacts bumps ``data_version`` by exactly one.
+
+    Readers that poll the version (the sharded executor's watermark,
+    the hammer test below) must never observe an intermediate overlay
+    version the writer does not return.
+    """
+    published = []
+
+    class Recorder(DynamicMatrix):
+        # Records every state published, including any transient one.
+        def __setattr__(self, name, value):
+            if name == "_state":
+                published.append(value.version)
+            super().__setattr__(name, value)
+
+    # Threshold compaction on a repair-capable format.
+    dyn = Recorder(build("csr", random_coo(seed=8)), nnz_delta=2)
+    dyn.apply_updates([("insert", 0, 0, 1.0)])
+    assert (dyn.data_version, dyn.stats["compactions"]) == (1, 0)
+    published.clear()
+    dyn.apply_updates([("insert", 1, 1, 1.0), ("delete", 2, 2)])
+    assert published == [2]
+    assert dyn.data_version == 2
+    assert dyn.overlay_nnz == 0
+    assert dyn.stats["compactions"] == 1
+    assert dyn.stats["repairs"] == 1
+    assert dyn.stats["rebuilds"] == 0
+    # The compacted content is the batch's content.
+    ref = apply_reference(random_coo(seed=8), [
+        [("insert", 0, 0, 1.0)],
+        [("insert", 1, 1, 1.0), ("delete", 2, 2)],
+    ])
+    merged = dyn.to_coo()
+    np.testing.assert_array_equal(merged.rows, ref.rows)
+    np.testing.assert_array_equal(merged.cols, ref.cols)
+    np.testing.assert_array_equal(merged.data, ref.data)
+    # Eager compaction of a non-bitwise format: one version per batch.
+    fmt = next(f for f in ALL_FORMATS if not get_format(f).bitwise)
+    eager = Recorder(build(fmt, random_coo(seed=12)))
+    published.clear()
+    eager.apply_updates([("insert", 0, 0, 2.0)])
+    eager.apply_updates([("insert", 1, 0, 3.0)])
+    assert published == [1, 2]
+    assert eager.stats["compactions"] == 2
+    # An explicit compaction still publishes its own single version.
+    dyn.apply_updates([("insert", 3, 3, 1.0)])
+    published.clear()
+    dyn.compact()
+    assert published == [4]
+    assert dyn.stats["compactions"] == 2
 
 
 def test_eager_compaction_for_non_bitwise_formats():
@@ -395,3 +495,63 @@ def test_concurrent_queries_during_updates():
     for version, out in results:
         assert version in expected
         assert np.array_equal(out, expected[version])
+
+
+def test_concurrent_reads_during_compacting_batches():
+    """Stress: batches that compact replace base and overlay together.
+
+    More reader threads than cores and a short switch interval; every
+    read whose version was stable across the query must equal the
+    writer's snapshot of that version, through both the plan path and
+    ``to_coo``.  A reader pairing one snapshot's base with another's
+    overlay breaks the equality.
+    """
+    base_coo = random_coo(n_rows=48, n_cols=48, nnz=240, seed=21)
+    dyn = DynamicMatrix(build("csr", base_coo), nnz_delta=12)
+    batches = split_batches(seeded_update_stream(dyn, 240, seed=15), 24)
+    x = np.random.default_rng(6).random(dyn.n_cols)
+    snapshots = {0: dyn.to_coo()}
+    plans, coos, errors = [], [], []
+    stop = threading.Event()
+
+    def reader():
+        try:
+            while not stop.is_set():
+                version = dyn.data_version
+                out = dyn.spmv_plan().execute(x)
+                coo = dyn.to_coo()
+                if dyn.data_version == version:
+                    plans.append((version, out))
+                    coos.append((version, coo))
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=reader) for _ in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        for batch in batches:
+            dyn.apply_updates(batch)
+            snapshots[dyn.data_version] = dyn.to_coo()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert dyn.stats["compactions"] >= 10
+    assert plans
+    expected = {
+        version: build("coo", snapshot).spmv_plan().execute(x)
+        for version, snapshot in snapshots.items()
+    }
+    for version, out in plans:
+        assert np.array_equal(out, expected[version])
+    for version, coo in coos:
+        want = snapshots[version]
+        assert np.array_equal(coo.rows, want.rows)
+        assert np.array_equal(coo.cols, want.cols)
+        assert np.array_equal(coo.data, want.data)

@@ -22,7 +22,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
-from repro.exec.sharded import ShardedExecutor
+from repro.exec.sharded import ShardedExecutor, available_cpu_count
 from repro.formats.coo import COOMatrix
 from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
 from repro.graphs.rmat import rmat_graph
@@ -336,15 +336,18 @@ class TestLifecycle:
     def test_revalidate_rebuilds_on_environment_change(
         self, service, monkeypatch
     ):
-        # Warm the engine, then shrink the affinity mask under the
+        # Warm the engine, then change the affinity mask under the
         # service: the explicit hook must rebuild, and queries must
         # stay bitwise-correct afterwards.
         first = raise_errors(gather(service, [
             {"graph": "g", "algorithm": "ppr", "seed": 9},
         ]))[0]
         assert service.revalidate() == []  # environment unchanged
+        # Derived from the real affinity, so the change is real on
+        # every host shape.
+        cores = available_cpu_count() + 1
         monkeypatch.setattr(
-            "repro.exec.sharded.available_cpu_count", lambda: 2
+            "repro.exec.sharded.available_cpu_count", lambda: cores
         )
         assert service.revalidate() == ["g"]
         second = raise_errors(gather(service, [
