@@ -123,9 +123,13 @@ class SparseMatrix(abc.ABC):
     job of ``repro.kernels``, which reads the structural properties
     exposed by this interface.
 
-    Matrices are treated as immutable once constructed: plans and the
-    cached row/column length arrays hold references to the storage
-    arrays and are built at most once per matrix.
+    Matrices are treated as immutable once constructed: derived state
+    is cached in the instance ``__dict__`` and built at most once per
+    matrix — the execution plans (:meth:`spmv_plan`), the tuned engines
+    (:meth:`tuned_plan`), the row/column length arrays, and the mining
+    setup cache (:func:`repro.mining.power_method.mining_setup`: per
+    algorithm, the operator, its fingerprint, the cost-model kernels and
+    the sharded executor, stamped with :attr:`data_version`).
     """
 
     #: Matrix dimensions ``(n_rows, n_cols)``.

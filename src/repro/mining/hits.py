@@ -26,8 +26,8 @@ from repro.mining.power_method import (
     convergence_trace,
     finish_run,
     l1_delta,
+    mining_setup,
     resolve_checkpoint,
-    resolve_engine,
     resolve_warm_start,
     resume_checkpoint,
 )
@@ -105,42 +105,39 @@ def hits(
     this run's block-operator fingerprint; a result from a different
     graph raises unless ``warm_start_check=False``.
     """
-    coo = adjacency.to_coo()
-    n = coo.n_rows
-    operator = hits_operator(coo)
-    fingerprint = matrix_fingerprint(operator)
-    if isinstance(kernel, SpMVKernel):
-        spmv = kernel
-    else:
-        spmv = create(kernel, operator, device=device, **kernel_options)
-    ckpt_config = resolve_checkpoint(checkpoint)
-    warm = resolve_warm_start(
-        warm_start, resume_from, (2 * n,), key="v", algorithm="hits",
-        fingerprint=fingerprint, check=warm_start_check,
-    )
-    snapshot = resume_checkpoint(resume_from, "hits", n=n)
-    start_iteration = 0
-    if snapshot is None:
-        v = np.full(2 * n, 1.0 / n) if warm is None else warm
-    else:
-        v = np.array(snapshot.array("v"), dtype=np.float64)
-        if v.shape != (2 * n,):
-            raise CheckpointError(
-                f"checkpoint vector has shape {v.shape}, expected ({2 * n},)"
-            )
-        start_iteration = snapshot.iteration
-    new_v = np.empty(2 * n)
-    scratch = np.empty(2 * n)
-    if multi_vector:
-        X = np.zeros((2 * n, 2))
-        Y = np.empty((2 * n, 2))
-    iterations = start_iteration
-    converged = False
-    trace = convergence_trace("hits", tol=tol, multi_vector=multi_vector)
-    with resolve_engine(
-        spmv, operator, executor, n_shards, tune=tune,
-        shard_mode=shard_mode,
-    ) as engine:
+    with mining_setup(
+        adjacency, "hits", hits_operator, kernel, device=device,
+        kernel_options=kernel_options, executor=executor,
+        n_shards=n_shards, shard_mode=shard_mode, tune=tune,
+        create=create, fingerprint=matrix_fingerprint,
+    ) as run:
+        spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint
+        n = run.operator.n_rows // 2
+        ckpt_config = resolve_checkpoint(checkpoint)
+        warm = resolve_warm_start(
+            warm_start, resume_from, (2 * n,), key="v", algorithm="hits",
+            fingerprint=fingerprint, check=warm_start_check,
+        )
+        snapshot = resume_checkpoint(resume_from, "hits", n=n)
+        start_iteration = 0
+        if snapshot is None:
+            v = np.full(2 * n, 1.0 / n) if warm is None else warm
+        else:
+            v = np.array(snapshot.array("v"), dtype=np.float64)
+            if v.shape != (2 * n,):
+                raise CheckpointError(
+                    f"checkpoint vector has shape {v.shape}, "
+                    f"expected ({2 * n},)"
+                )
+            start_iteration = snapshot.iteration
+        new_v = np.empty(2 * n)
+        scratch = np.empty(2 * n)
+        if multi_vector:
+            X = np.zeros((2 * n, 2))
+            Y = np.empty((2 * n, 2))
+        iterations = start_iteration
+        converged = False
+        trace = convergence_trace("hits", tol=tol, multi_vector=multi_vector)
         trace.tick()
         for iterations in range(start_iteration + 1, max_iter + 1):
             if multi_vector:

@@ -21,8 +21,8 @@ from repro.mining.power_method import (
     convergence_trace,
     finish_run,
     l1_delta,
+    mining_setup,
     resolve_checkpoint,
-    resolve_engine,
     resolve_warm_start,
     resume_checkpoint,
 )
@@ -88,9 +88,10 @@ def pagerank(
     executor, n_shards:
         Run the per-iteration SpMV through a
         :class:`~repro.exec.ShardedExecutor` — either a caller-owned one
-        (built on the PageRank operator) or one built here with
-        ``n_shards`` shards (``"auto"`` for the nnz/cores policy).  The
-        iterates are bit-identical to the single-shard run.
+        (built on the PageRank operator) or one with ``n_shards`` shards
+        (``"auto"`` for the nnz/cores policy), built on the first such
+        run and cached on ``adjacency`` for later ones.  The iterates
+        are bit-identical to the single-shard run.
     shard_mode:
         ``"thread"`` or ``"process"`` fan-out for the sharded run (see
         :class:`~repro.exec.ShardedExecutor`); needs ``n_shards``.
@@ -126,49 +127,45 @@ def pagerank(
     """
     if not 0 < damping < 1:
         raise ValidationError(f"damping must be in (0, 1), got {damping}")
-    coo = adjacency.to_coo()
-    operator = pagerank_operator(coo)
-    if isinstance(kernel, SpMVKernel):
-        spmv = kernel
-    else:
-        spmv = create(kernel, operator, device=device, **kernel_options)
-    n = operator.n_rows
-    fingerprint = matrix_fingerprint(operator)
-    ckpt_config = resolve_checkpoint(checkpoint)
-    warm = resolve_warm_start(
-        warm_start, resume_from, (n,), key="p", algorithm="pagerank",
-        fingerprint=fingerprint, check=warm_start_check,
-    )
-    snapshot = resume_checkpoint(
-        resume_from, "pagerank", n=n, damping=damping
-    )
-    p0 = np.full(n, 1.0 / n)
-    start_iteration = 0
-    if snapshot is None:
-        p = p0.copy() if warm is None else warm
-    else:
-        p = np.array(snapshot.array("p"), dtype=np.float64)
-        if p.shape != (n,):
-            raise CheckpointError(
-                f"checkpoint vector has shape {p.shape}, expected ({n},)"
-            )
-        start_iteration = snapshot.iteration
-    # Double-buffered power method: after the plan is built on the first
-    # call, each iteration is one SpMV into a reused buffer plus
-    # in-place vector ops — no per-iteration heap allocation.
-    new_p = np.empty(n)
-    scratch = np.empty(n)
-    base = (1.0 - damping) * p0
-    iterations = start_iteration
-    converged = False
-    # Per-iteration residual / dangling-mass / wall-time record; the
-    # shared NULL_TRACE (obs disabled) reduces every hook below to one
-    # attribute test, keeping the loop allocation-free.
-    trace = convergence_trace("pagerank", damping=damping, tol=tol)
-    with resolve_engine(
-        spmv, operator, executor, n_shards, tune=tune,
-        shard_mode=shard_mode,
-    ) as engine:
+    with mining_setup(
+        adjacency, "pagerank", pagerank_operator, kernel, device=device,
+        kernel_options=kernel_options, executor=executor,
+        n_shards=n_shards, shard_mode=shard_mode, tune=tune,
+        create=create, fingerprint=matrix_fingerprint,
+    ) as run:
+        spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint
+        n = run.operator.n_rows
+        ckpt_config = resolve_checkpoint(checkpoint)
+        warm = resolve_warm_start(
+            warm_start, resume_from, (n,), key="p", algorithm="pagerank",
+            fingerprint=fingerprint, check=warm_start_check,
+        )
+        snapshot = resume_checkpoint(
+            resume_from, "pagerank", n=n, damping=damping
+        )
+        p0 = np.full(n, 1.0 / n)
+        start_iteration = 0
+        if snapshot is None:
+            p = p0.copy() if warm is None else warm
+        else:
+            p = np.array(snapshot.array("p"), dtype=np.float64)
+            if p.shape != (n,):
+                raise CheckpointError(
+                    f"checkpoint vector has shape {p.shape}, expected ({n},)"
+                )
+            start_iteration = snapshot.iteration
+        # Double-buffered power method: after the plan is built on the
+        # first call, each iteration is one SpMV into a reused buffer
+        # plus in-place vector ops — no per-iteration heap allocation.
+        new_p = np.empty(n)
+        scratch = np.empty(n)
+        base = (1.0 - damping) * p0
+        iterations = start_iteration
+        converged = False
+        # Per-iteration residual / dangling-mass / wall-time record; the
+        # shared NULL_TRACE (obs disabled) reduces every hook below to
+        # one attribute test, keeping the loop allocation-free.
+        trace = convergence_trace("pagerank", damping=damping, tol=tol)
         trace.tick()
         for iterations in range(start_iteration + 1, max_iter + 1):
             engine.spmv(p, out=new_p)

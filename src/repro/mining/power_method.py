@@ -3,32 +3,185 @@
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ValidationError
 from repro.gpu.costs import CostReport
+from repro.kernels.base import SpMVKernel
 from repro.obs import metrics as _metrics
 from repro.obs.convergence import convergence_trace
 
 __all__ = [
     "MiningResult",
+    "RunSetup",
     "convergence_trace",
     "finish_run",
     "l1_delta",
+    "mining_setup",
     "resolve_checkpoint",
     "resolve_engine",
     "resolve_warm_start",
     "resume_checkpoint",
 ]
 
+#: ``adjacency.__dict__`` key of the per-algorithm setup cache.
+_SETUP_CACHE = "_mining_setup"
+
+
+class _SetupEntry:
+    """One algorithm's derived state on one adjacency.
+
+    The operator, its fingerprint, the cost-model kernels (one per
+    kernel name, device and options) and the engines built on the
+    operator, all derived from the adjacency at ``version``.  ``lock``
+    is held for a whole run: plans and workspace pools serve one
+    execution stream, so runs on the same adjacency queue here.
+    """
+
+    __slots__ = (
+        "lock", "version", "operator", "fingerprint", "kernels",
+        "sharded_key", "sharded", "tuned",
+    )
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.sharded = self.tuned = None
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget every derived object, closing the engines owned here."""
+        for engine in (self.sharded, self.tuned):
+            if engine is not None:
+                engine.close()
+        self.version = self.operator = self.fingerprint = None
+        self.kernels = {}
+        self.sharded_key = self.sharded = self.tuned = None
+
+    def kernel(self, name, device, options, create):
+        key = repr((name.lower(), device, sorted(options.items())))
+        spmv = self.kernels.get(key)
+        if spmv is None:
+            spmv = create(name, self.operator, device=device, **options)
+            self.kernels[key] = spmv
+        return spmv
+
+    def sharded_executor(self, n_shards, mode):
+        """The cached :class:`~repro.exec.ShardedExecutor` for the
+        *resolved* shard count, mode and backend; a change in any of
+        them (``"auto"`` under a new affinity mask, a new
+        ``REPRO_SPMV_SHARDS`` / ``REPRO_SPMV_MODE``, a new default
+        backend) closes the old executor and builds its replacement."""
+        from repro.exec.backends import _resolve
+        from repro.exec.sharded import (
+            ShardedExecutor,
+            auto_shard_count,
+            env_shard_count,
+            env_shard_mode,
+        )
+
+        if n_shards == "auto":
+            n_shards = env_shard_count() or auto_shard_count(
+                self.operator.nnz
+            )
+        key = (n_shards, mode or env_shard_mode() or "thread", _resolve(None))
+        if self.sharded_key != key:
+            executor = ShardedExecutor(
+                self.operator, key[0], mode=key[1], backend=key[2]
+            )
+            if self.sharded is not None:
+                self.sharded.close()
+            self.sharded, self.sharded_key = executor, key
+        return self.sharded
+
+
+class RunSetup(NamedTuple):
+    """What one mining run works with."""
+
+    operator: object  # the algorithm's SpMV operator
+    fingerprint: str  # matrix_fingerprint(operator)
+    kernel: SpMVKernel  # cost model, and the engine of unsharded runs
+    engine: object  # what runs the iteration's spmv/spmm
+
 
 @contextmanager
-def resolve_engine(
+def mining_setup(
+    adjacency,
+    algorithm: str,
+    build,
     kernel,
-    operator,
+    *,
+    device,
+    kernel_options: dict,
+    executor,
+    n_shards,
+    shard_mode,
+    tune: bool,
+    create,
+    fingerprint,
+):
+    """The one setup path of PageRank, HITS and RWR.
+
+    Builds ``build(adjacency.to_coo())``, its ``fingerprint``, the
+    ``create``-d cost-model kernel and the engine (see
+    :func:`resolve_engine`) — once per adjacency, not once per call:
+    the results are cached in ``adjacency.__dict__`` per algorithm,
+    like the matrix's own plans, on the :class:`SparseMatrix` contract
+    that a matrix is immutable once built.  Each entry is stamped with
+    ``adjacency.data_version``; when a dynamic matrix moves past it the
+    entry is dropped and its executors closed.  The entry's lock is
+    held until the ``with`` block ends, so concurrent runs on the same
+    adjacency queue while runs on different graphs never contend; a
+    run that raises drops the entry, so the next one starts clean.
+    The entry dies with the adjacency (executor pools close through
+    their finalisers).
+
+    ``create`` and ``fingerprint`` are passed as the calling module
+    resolves them, so wrappers installed on that module (profilers,
+    span tracers) still time every build.
+    """
+    cache = adjacency.__dict__.setdefault(_SETUP_CACHE, {})
+    entry = cache.get(algorithm) or cache.setdefault(
+        algorithm, _SetupEntry()
+    )
+    with entry.lock:
+        # Read the version before the contents: an update landing in
+        # between stamps new data with the old version, so the next run
+        # rebuilds; the reverse order would serve stale data forever.
+        version = adjacency.data_version
+        hit = entry.operator is not None and entry.version == version
+        if not hit:
+            entry.drop()
+            operator = build(adjacency.to_coo())
+            entry.fingerprint = fingerprint(operator)
+            entry.operator, entry.version = operator, version
+        if _metrics._ENABLED:
+            _metrics.METRICS.inc(
+                "mining.setup", result="hit" if hit else "miss",
+                algorithm=algorithm,
+            )
+        if isinstance(kernel, SpMVKernel):
+            spmv = kernel
+        else:
+            spmv = entry.kernel(kernel, device, kernel_options, create)
+        engine = resolve_engine(
+            entry, spmv, executor, n_shards, tune=tune,
+            shard_mode=shard_mode,
+        )
+        try:
+            yield RunSetup(entry.operator, entry.fingerprint, spmv, engine)
+        except BaseException:
+            entry.drop()
+            raise
+
+
+def resolve_engine(
+    entry,
+    kernel,
     executor=None,
     n_shards=None,
     tune=False,
@@ -40,18 +193,19 @@ def resolve_engine(
     the kernel's cached single-shard plan — unless ``REPRO_SPMV_SHARDS``
     forces the sharded executor underneath every mining call (the CI
     configuration).  ``n_shards`` (an int, or ``"auto"`` for the
-    nnz-and-cores policy) builds a :class:`~repro.exec.ShardedExecutor`
-    on the operator for the duration of the run; ``shard_mode``
+    nnz-and-cores policy) takes the :class:`~repro.exec.ShardedExecutor`
+    cached on the setup ``entry``; ``shard_mode``
     (``"thread"``/``"process"``, default ``REPRO_SPMV_MODE`` or thread)
     selects its fan-out mechanism.  A caller-owned ``executor``
     (pre-built on the same operator, reusable across runs) is used
-    as-is and left open.  ``tune=True`` asks the measured auto-tuner
-    (:func:`repro.tuner.tune`) for the operator's fastest ``format x
-    backend x shard-count x mode`` configuration — mutually exclusive
-    with ``executor``/``n_shards``/``shard_mode``, which pin what the
-    tuner would decide.
+    as-is and left open.  ``tune=True`` takes the operator's measured
+    auto-tuned engine (:meth:`~repro.formats.base.SparseMatrix.tuned_plan`,
+    the fastest ``format x backend x shard-count x mode``
+    configuration) — mutually exclusive with
+    ``executor``/``n_shards``/``shard_mode``, which pin what the tuner
+    would decide.  Nothing is built per run and nothing is closed here.
     """
-    from repro.exec.sharded import ShardedExecutor, env_shard_count
+    from repro.exec.sharded import env_shard_count
 
     if tune:
         if executor is not None or n_shards is not None:
@@ -64,14 +218,8 @@ def resolve_engine(
                 "tune=True decides the shard mode; do not also pass "
                 "shard_mode="
             )
-        from repro.tuner import tune as tune_matrix
-
-        engine = tune_matrix(operator).build_engine(operator)
-        try:
-            yield engine
-        finally:
-            engine.close()
-        return
+        entry.tuned = entry.operator.tuned_plan()
+        return entry.tuned
     if executor is not None:
         if n_shards is not None:
             raise ValidationError(
@@ -82,13 +230,12 @@ def resolve_engine(
                 "a caller-owned executor fixes the shard mode; do not "
                 "also pass shard_mode="
             )
-        if executor.shape != operator.shape:
+        if executor.shape != entry.operator.shape:
             raise ValidationError(
                 f"executor shape {executor.shape} does not match the "
-                f"operator shape {operator.shape}"
+                f"operator shape {entry.operator.shape}"
             )
-        yield executor
-        return
+        return executor
     if n_shards is None:
         n_shards = env_shard_count()
         if n_shards is None:
@@ -97,13 +244,8 @@ def resolve_engine(
                     "shard_mode= needs a sharded run; pass n_shards= "
                     "(or set REPRO_SPMV_SHARDS) as well"
                 )
-            yield kernel
-            return
-    owned = ShardedExecutor(operator, n_shards, mode=shard_mode)
-    try:
-        yield owned
-    finally:
-        owned.close()
+            return kernel
+    return entry.sharded_executor(n_shards, shard_mode)
 
 
 def resolve_checkpoint(checkpoint):

@@ -24,8 +24,8 @@ from repro.mining.power_method import (
     convergence_trace,
     finish_run,
     l1_delta,
+    mining_setup,
     resolve_checkpoint,
-    resolve_engine,
     resolve_warm_start,
     resume_checkpoint,
 )
@@ -114,63 +114,61 @@ def random_walk_with_restart(
             "sequential path interleaves per-query loops and has no single "
             "resumable iteration state)"
         )
-    coo = adjacency.to_coo()
-    operator = rwr_operator(coo)
-    fingerprint = matrix_fingerprint(operator)
-    if isinstance(kernel, SpMVKernel):
-        spmv = kernel
-    else:
-        spmv = create(kernel, operator, device=device, **kernel_options)
-    n = operator.n_rows
-    ckpt_config = resolve_checkpoint(checkpoint)
-    if warm_start is not None and resume_from is not None:
-        # The full resolution needs the finalised query set (for the
-        # expected shape), but the contradiction is reportable now,
-        # before any checkpoint file is touched.
-        resolve_warm_start(
-            warm_start, resume_from, (n, 0), key="R", algorithm="rwr"
-        )
-    snapshot = resume_checkpoint(resume_from, "rwr", n=n, restart=restart)
-    if snapshot is not None:
-        resumed_queries = np.asarray(
-            snapshot.array("queries"), dtype=np.int64
-        )
-        if queries is not None and not np.array_equal(
-            np.asarray(queries, dtype=np.int64), resumed_queries
-        ):
-            raise CheckpointError(
-                "queries passed alongside resume_from do not match the "
-                "checkpoint's query set"
+    with mining_setup(
+        adjacency, "rwr", rwr_operator, kernel, device=device,
+        kernel_options=kernel_options, executor=executor,
+        n_shards=n_shards, shard_mode=shard_mode, tune=tune,
+        create=create, fingerprint=matrix_fingerprint,
+    ) as run:
+        spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint
+        n = run.operator.n_rows
+        ckpt_config = resolve_checkpoint(checkpoint)
+        if warm_start is not None and resume_from is not None:
+            # The full resolution needs the finalised query set (for the
+            # expected shape), but the contradiction is reportable now,
+            # before any checkpoint file is touched.
+            resolve_warm_start(
+                warm_start, resume_from, (n, 0), key="R", algorithm="rwr"
             )
-        queries = resumed_queries
-    rng = np.random.default_rng(seed)
-    if queries is None:
-        queries = rng.choice(n, size=min(n_queries, n), replace=False)
-    queries = np.asarray(queries, dtype=np.int64)
-    if queries.size == 0:
-        raise ValidationError("at least one query node is required")
-    if queries.min() < 0 or queries.max() >= n:
-        raise ValidationError("query node out of range")
-    warm = resolve_warm_start(
-        warm_start, resume_from, (n, queries.size), key="R",
-        algorithm="rwr", fingerprint=fingerprint,
-        check=warm_start_check,
-    )
+        snapshot = resume_checkpoint(
+            resume_from, "rwr", n=n, restart=restart
+        )
+        if snapshot is not None:
+            resumed_queries = np.asarray(
+                snapshot.array("queries"), dtype=np.int64
+            )
+            if queries is not None and not np.array_equal(
+                np.asarray(queries, dtype=np.int64), resumed_queries
+            ):
+                raise CheckpointError(
+                    "queries passed alongside resume_from do not match "
+                    "the checkpoint's query set"
+                )
+            queries = resumed_queries
+        rng = np.random.default_rng(seed)
+        if queries is None:
+            queries = rng.choice(n, size=min(n_queries, n), replace=False)
+        queries = np.asarray(queries, dtype=np.int64)
+        if queries.size == 0:
+            raise ValidationError("at least one query node is required")
+        if queries.min() < 0 or queries.max() >= n:
+            raise ValidationError("query node out of range")
+        warm = resolve_warm_start(
+            warm_start, resume_from, (n, queries.size), key="R",
+            algorithm="rwr", fingerprint=fingerprint,
+            check=warm_start_check,
+        )
 
-    dev = spmv.device
-    per_iteration = (
-        spmv.cost()
-        + axpy_cost(n, dev)       # restart update
-        + reduction_cost(n, dev)  # convergence check
-    ).relabel(f"rwr/{spmv.name}")
+        dev = spmv.device
+        per_iteration = (
+            spmv.cost()
+            + axpy_cost(n, dev)       # restart update
+            + reduction_cost(n, dev)  # convergence check
+        ).relabel(f"rwr/{spmv.name}")
 
-    trace = convergence_trace(
-        "rwr", restart=restart, tol=tol, batched=batched
-    )
-    with resolve_engine(
-        spmv, operator, executor, n_shards, tune=tune,
-        shard_mode=shard_mode,
-    ) as engine:
+        trace = convergence_trace(
+            "rwr", restart=restart, tol=tol, batched=batched
+        )
         trace.tick()
         if batched:
             iteration_counts, all_converged, r = _run_batched(
