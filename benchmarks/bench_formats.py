@@ -96,7 +96,7 @@ def leaderboard(
             record = {"format": fmt, "backend": backend}
             try:
                 record["seconds"] = _measure(
-                    matrix, fmt, backend, 1, "thread", x, out,
+                    matrix, fmt, backend, 1, x, out,
                     warmup=warmup, repeats=repeats,
                 )
             except FormatNotApplicableError as exc:
@@ -175,7 +175,6 @@ def run(quick: bool) -> tuple[dict, list[str]]:
                 "format": decision.format,
                 "backend": decision.backend,
                 "n_shards": decision.n_shards,
-                "mode": decision.mode,
                 "seconds": decision.seconds,
             },
         })

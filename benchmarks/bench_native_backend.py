@@ -8,12 +8,12 @@ graph three ways on the same canonical operator:
 * **native** — single shard on the ``native`` backend (numba-compiled
   CSR row-split kernel, ``parallel=True`` when the affinity mask
   allows);
-* **native+process** — 4 shards on the ``native`` backend through
-  ``ShardedExecutor(mode="process")``: JIT kernels *and* worker
-  processes, the tentpole configuration.
+* **native+sharded** — 4 row shards on the ``native`` backend through
+  the :class:`ShardedExecutor` thread fan-out: JIT kernels compiled
+  ``nogil=True`` running on several cores at once.
 
 Bit-identity is the hard contract and is enforced everywhere: every
-sharded/process run must match the single-shard run **on the same
+sharded run must match the single-shard run **on the same
 resolved backend** bit for bit (the native and numpy backends are
 mutually last-ulp, not bitwise — the differential suite pins that
 boundary).  The ≥2x speedup gate (≥1.2x for ``--quick``) arms only
@@ -57,25 +57,22 @@ FULL_NODES, FULL_EDGES, FULL_ITERATIONS = 1 << 17, 2_000_000, 100
 QUICK_NODES, QUICK_EDGES, QUICK_ITERATIONS = 1 << 13, 150_000, 30
 
 N_SHARDS = 4
-#: Acceptance target for the full run (ISSUE 6): JIT + processes must
-#: at least double the numpy single-shard baseline on a >=4-core host.
+#: Acceptance target for the full run: JIT kernels on sharded threads
+#: must at least double the numpy single-shard baseline on a >=4-core
+#: host.
 FULL_MIN_SPEEDUP = 2.0
 QUICK_MIN_SPEEDUP = 1.2
 
 
 def bench_config(
-    operator, *, n_shards: int, backend: str, mode: str, iterations: int
+    operator, *, n_shards: int, backend: str, iterations: int
 ) -> tuple[np.ndarray, dict]:
-    with ShardedExecutor(
-        operator, n_shards, backend=backend, mode=mode
-    ) as ex:
+    with ShardedExecutor(operator, n_shards, backend=backend) as ex:
         vector, _, elapsed = executor_pagerank(ex, iterations)
         stats = {
             "backend_requested": backend,
             "backend_resolved": ex.backend,
-            "mode": ex.mode,
             "n_shards": ex.n_shards,
-            "worker_pids": len(ex.worker_pids),
             "seconds": elapsed,
             "iterations_per_second": iterations / elapsed,
         }
@@ -107,16 +104,14 @@ def run(quick: bool) -> tuple[dict, list[str]]:
     # interpreter path, and on JIT-less hosts "native" resolves to
     # numpy, keeping the fallback comparison below bitwise.
     p_base, baseline = bench_config(
-        operator, n_shards=1, backend="numpy", mode="thread",
-        iterations=iterations,
+        operator, n_shards=1, backend="numpy", iterations=iterations,
     )
     baseline_seconds = baseline["seconds"]
     p_native, native = bench_config(
-        operator, n_shards=1, backend="native", mode="thread",
-        iterations=iterations,
+        operator, n_shards=1, backend="native", iterations=iterations,
     )
     p_multi, multicore = bench_config(
-        operator, n_shards=N_SHARDS, backend="native", mode="process",
+        operator, n_shards=N_SHARDS, backend="native",
         iterations=iterations,
     )
     # The bitwise reference for the native runs: the single-shard
@@ -124,7 +119,7 @@ def run(quick: bool) -> tuple[dict, list[str]]:
     failures: list[str] = []
     if not np.array_equal(p_multi, p_native):
         failures.append(
-            "native+process PageRank diverged bitwise from the "
+            "native+sharded PageRank diverged bitwise from the "
             "single-shard native run"
         )
     if get_backend("native").name == "numpy":
@@ -145,7 +140,7 @@ def run(quick: bool) -> tuple[dict, list[str]]:
     if gate_armed:
         if speedup < min_speedup:
             failures.append(
-                f"native+process speedup {speedup:.2f}x below the "
+                f"native+sharded speedup {speedup:.2f}x below the "
                 f"{min_speedup}x gate"
             )
     else:
@@ -177,7 +172,7 @@ def run(quick: bool) -> tuple[dict, list[str]]:
             "baseline_numpy_seconds": baseline_seconds,
             "baseline_iterations_per_second": iterations / baseline_seconds,
             "native_single": native,
-            "native_process": multicore,
+            "native_sharded": multicore,
             "speedup_vs_baseline": speedup,
             "speedup_gate": min_speedup if gate_armed else None,
         },
@@ -191,12 +186,12 @@ def run(quick: bool) -> tuple[dict, list[str]]:
     )
     for label, stats in (
         ("native, 1 shard", native),
-        (f"native+process, {N_SHARDS} shards", multicore),
+        (f"native+sharded, {N_SHARDS} shards", multicore),
     ):
         print(
             f"{label + ':':<29}{stats['seconds']:8.3f} s "
             f"({stats['iterations_per_second']:8.1f} it/s)  "
-            f"[resolved {stats['backend_resolved']}/{stats['mode']}]"
+            f"[resolved {stats['backend_resolved']}]"
         )
     print(f"speedup vs baseline: {speedup:5.2f}x (gate "
           f"{'armed' if gate_armed else 'disarmed'})")

@@ -87,7 +87,7 @@ def sweep_scenario(
             record = {"format": fmt, "backend": backend}
             try:
                 record["seconds"] = _measure(
-                    matrix, fmt, backend, 1, "thread", x, out,
+                    matrix, fmt, backend, 1, x, out,
                     warmup=warmup, repeats=repeats,
                 )
             except FormatNotApplicableError as exc:

@@ -131,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard count, or 'auto' for the nnz-and-cores policy "
         "(default: single-shard)",
     )
-    pagerank.add_argument(
-        "--shard-mode", choices=["thread", "process"], default=None,
-        help="shard fan-out mechanism: 'thread' (pool, default) or "
-        "'process' (shared-memory worker processes — true multicore "
-        "for GIL-bound backends); requires --shards",
-    )
 
     sub.add_parser(
         "formats",
@@ -403,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve through a sharded executor (default: cached plan)",
     )
     serve.add_argument(
-        "--shard-mode", choices=["thread", "process"], default=None,
-        help="shard fan-out mechanism (requires --shards)",
-    )
-    serve.add_argument(
         "--tune", action="store_true",
         help="let the measured auto-tuner pick the execution engine",
     )
@@ -484,14 +474,12 @@ def _cmd_pagerank(args) -> int:
     result = pagerank(
         ds.matrix, kernel=args.kernel, device=device,
         damping=args.damping, tol=args.tol, n_shards=args.shards,
-        shard_mode=args.shard_mode,
     )
     print(f"PageRank on {ds.name} with {result.kernel_name}: "
           f"{result.iterations} iterations, converged={result.converged}")
     shards_used = result.extra.get("n_shards", 1)
     if shards_used != 1:
-        mode = args.shard_mode or "thread"
-        print(f"sharded executor: {shards_used} row shards ({mode} mode)")
+        print(f"sharded executor: {shards_used} row shards")
     print(f"simulated total time {result.seconds * 1e3:.3f} ms "
           f"({result.gflops:.2f} GFLOPS per iteration)")
     top = np.argsort(result.vector)[::-1][: args.top]
@@ -664,20 +652,18 @@ def _cmd_tune(args) -> int:
             cand.get("format") == decision.format
             and cand.get("backend") == decision.backend
             and cand.get("n_shards") == decision.n_shards
-            and cand.get("mode", "thread") == decision.mode
             and "seconds" in cand
         )
         rows.append([
             cand.get("format", "-"),
             cand.get("backend", "-"),
             cand.get("n_shards", "-"),
-            cand.get("mode", "-"),
             cand["seconds"] * 1e6 if "seconds" in cand
             else f"skipped: {cand.get('error', '?')}"[:40],
             "<== chosen" if chosen else "",
         ])
     print(ascii_table(
-        ["format", "backend", "shards", "mode", "median spmv (us)", ""],
+        ["format", "backend", "shards", "median spmv (us)", ""],
         rows,
         title=f"Measured auto-tune of {source} "
         f"(shape {matrix.shape}, nnz {matrix.nnz:,})",
@@ -685,7 +671,7 @@ def _cmd_tune(args) -> int:
     ))
     cache_path = resolve_cache_path()
     print(f"decision: format={decision.format} backend={decision.backend} "
-          f"n_shards={decision.n_shards} mode={decision.mode} "
+          f"n_shards={decision.n_shards} "
           f"({decision.seconds * 1e6:.2f} us median)")
     print(f"model seed: {decision.model_kernel or 'bypassed'}")
     print("source: cache hit" if decision.from_cache
@@ -1062,8 +1048,7 @@ def _cmd_serve(args) -> int:
     )
     service.register(
         name, matrix,
-        n_shards=args.shards, shard_mode=args.shard_mode,
-        tune=args.tune, tune_options=None,
+        n_shards=args.shards, tune=args.tune, tune_options=None,
     )
 
     async def main_loop():

@@ -34,7 +34,7 @@ class ValidationError(ReproError):
 
 
 class ExecutorClosedError(ValidationError):
-    """An executor (or its process pool) was closed while/before a call.
+    """An executor was closed while/before a call.
 
     Subclasses :class:`ValidationError` so callers that already guard the
     pre-existing "executor is closed" :class:`ValidationError` keep working;

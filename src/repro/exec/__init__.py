@@ -18,13 +18,8 @@ The numerical path of every format and kernel runs through this layer:
     numba is absent.
 ``repro.exec.sharded``
     :class:`ShardedExecutor` — the paper's §3.2 row sharding run as
-    real parallel work on a persistent thread pool
-    (``mode="thread"``) or shared-memory worker processes
-    (``mode="process"``), bit-identical to the single-shard path,
-    with optional measured adaptive re-chunking.
-``repro.exec.procpool``
-    :class:`ProcessShardPool` — the persistent worker processes and
-    shared-memory segments behind ``mode="process"``.
+    real parallel work on a persistent thread pool, bit-identical to
+    the single-shard path.
 
 Typical use goes through the matrix API rather than this package::
 
@@ -36,10 +31,11 @@ Typical use goes through the matrix API rather than this package::
     with ShardedExecutor(matrix, n_shards=4) as ex:
         ex.spmv(x, out=y)           # nnz-balanced shards in parallel
 
-When fault injection is armed (``repro.resilience``), the executor's
-calls run through per-shard timeout/retry/degradation recovery and stay
-bit-identical to the fault-free run; disarmed, none of that machinery
-executes and the zero-allocation steady state is untouched.
+The executor serves every call through one fan-out with per-shard
+timeout/retry/degradation recovery, bit-identical to the fault-free
+run.  Armed fault injection (``repro.resilience``) fires inside that
+same path; disarmed, the fault sites cost one boolean test and the
+zero-allocation steady state is untouched.
 """
 
 from repro.exec.backends import (
@@ -60,16 +56,12 @@ from repro.exec.native import (
     numba_versions,
     row_splits,
 )
-from repro.exec.procpool import ProcessShardPool
 from repro.exec.sharded import (
     AUTO_MIN_NNZ_PER_SHARD,
-    SHARD_MODES,
-    ReshardPolicy,
     ShardedExecutor,
     auto_shard_count,
     available_cpu_count,
     env_shard_count,
-    env_shard_mode,
 )
 from repro.exec.plan import (
     PLAN_CACHE_STATS,
@@ -101,9 +93,6 @@ __all__ = [
     "NumpyBackend",
     "PKTPlan",
     "PlanCacheStats",
-    "ProcessShardPool",
-    "ReshardPolicy",
-    "SHARD_MODES",
     "ScipyBackend",
     "ShardedExecutor",
     "SpMVPlan",
@@ -117,7 +106,6 @@ __all__ = [
     "configure_from_env",
     "default_backend_name",
     "env_shard_count",
-    "env_shard_mode",
     "get_backend",
     "native_available",
     "numba_versions",

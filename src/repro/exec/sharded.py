@@ -9,8 +9,9 @@ row-slice sub-matrix with its own cached
 registry), and every ``spmv``/``spmm`` call fans the shards out over a
 **persistent** :class:`~concurrent.futures.ThreadPoolExecutor` — workers
 live for the executor's lifetime, no per-call pool spin-up.  The SciPy
-backend's compiled matvec and numpy's ufunc loops both release the GIL,
-so shards genuinely overlap on multi-core hosts.
+backend's compiled matvec, numpy's ufunc loops and the native backend's
+``nogil`` kernels all release the GIL, so shards genuinely overlap on
+multi-core hosts.
 
 Each shard writes its own rows straight into the caller's ``out``
 buffer: a contiguous shard gets a zero-copy view, a bitonic
@@ -28,18 +29,13 @@ not shard count, decides throughput; ``bitonic_partition`` is therefore
 the default scheduler, and :attr:`ShardedExecutor.last_shard_seconds`
 exposes measured per-shard wall time so the claim is checkable.
 
-Two escape hatches from the GIL ceiling live here too.
-``mode="process"`` swaps the thread pool for a
-:class:`~repro.exec.procpool.ProcessShardPool` — persistent worker
-processes with per-shard plans and shared-memory ``x``/``out``, so
-numpy-plan shards genuinely overlap (threads only overlap where the
-kernel releases the GIL).  And ``adaptive=True`` turns on parakeet-style
-throughput-measured re-chunking: when the measured per-shard seconds
-stay imbalanced past :class:`ReshardPolicy`'s threshold, the serpentine
-deal is re-run over *measured-cost* row weights instead of raw row
-lengths, and the shards (and worker processes) are rebuilt online.
-Neither changes a single output bit: every shard, in every mode, under
-every assignment, executes the same canonical row-sorted COO reduction.
+There is one dispatch path.  Every call, with fault injection armed or
+not, runs the same shard task: the caller's thread takes the first
+shard and the pool the rest; a failed attempt is retried under the
+:class:`~repro.resilience.recovery.RetryPolicy` backoff, a shard that
+exhausts its attempts or outlives ``timeout_seconds`` is drained and
+then recomputed serially with injection suppressed.  The fault sites and
+the non-finite output check cost one boolean test while disarmed.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +64,10 @@ from repro.resilience.recovery import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "AUTO_MIN_NNZ_PER_SHARD",
-    "ReshardPolicy",
-    "SHARD_MODES",
     "ShardedExecutor",
     "auto_shard_count",
     "available_cpu_count",
     "env_shard_count",
-    "env_shard_mode",
 ]
 
 #: Below this many non-zeros per shard, thread dispatch overhead beats
@@ -85,9 +77,6 @@ AUTO_MIN_NNZ_PER_SHARD = 200_000
 #: Format the ``n_shards="tuned"`` grid is pinned to (shard execution
 #: is format-agnostic: every shard runs a canonical COO row slice).
 BASELINE_TUNE_FORMAT = "csr"
-
-#: Supported shard fan-out mechanisms.
-SHARD_MODES = ("thread", "process")
 
 
 def available_cpu_count() -> int:
@@ -129,20 +118,6 @@ def env_shard_count() -> int | None:
     return count
 
 
-def env_shard_mode() -> str | None:
-    """The ``REPRO_SPMV_MODE`` override, or ``None`` when unset."""
-    raw = os.environ.get("REPRO_SPMV_MODE")
-    if raw is None or raw == "":
-        return None
-    mode = raw.strip().lower()
-    if mode not in SHARD_MODES:
-        raise ValidationError(
-            f"REPRO_SPMV_MODE={raw!r} is not a shard mode; "
-            f"expected one of {SHARD_MODES}"
-        )
-    return mode
-
-
 def auto_shard_count(
     nnz: int, *, workers: int | None = None
 ) -> int:
@@ -160,52 +135,16 @@ def auto_shard_count(
     return max(1, min(workers, nnz // AUTO_MIN_NNZ_PER_SHARD))
 
 
-def _env_adaptive() -> bool:
-    """``REPRO_SPMV_ADAPTIVE`` truthiness (default off)."""
-    raw = os.environ.get("REPRO_SPMV_ADAPTIVE", "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
-
-
-@dataclass(frozen=True)
-class ReshardPolicy:
-    """When and how eagerly the adaptive re-chunker fires.
-
-    The trigger is the same statistic ``repro profile`` reports:
-    measured per-shard seconds, imbalance = max/mean over active
-    shards.  One noisy call must not thrash the partition, so the
-    imbalance has to exceed ``threshold`` for ``patience``
-    *consecutive* calls, and after a reshard the trigger sleeps for
-    ``cooldown`` calls while the new boundaries produce fresh timings.
-    """
-
-    threshold: float = 1.5
-    patience: int = 3
-    cooldown: int = 20
-
-    def __post_init__(self) -> None:
-        if self.threshold <= 1.0:
-            raise ValidationError(
-                f"reshard threshold must be > 1.0, got {self.threshold}"
-            )
-        if self.patience < 1 or self.cooldown < 0:
-            raise ValidationError(
-                "reshard patience must be >= 1 and cooldown >= 0"
-            )
-
-
-DEFAULT_RESHARD_POLICY = ReshardPolicy()
-
-
 class _Shard:
     """One row shard: its row set, cached plan, and scratch space."""
 
     __slots__ = ("index", "row_ids", "matrix", "plan", "pool", "start", "stop")
 
-    def __init__(self, index: int, row_ids: np.ndarray, matrix) -> None:
+    def __init__(self, index: int, row_ids: np.ndarray, matrix, plan) -> None:
         self.index = index
         self.row_ids = row_ids
         self.matrix = matrix
-        self.plan = None  # built lazily per backend by the executor
+        self.plan = plan
         self.pool = WorkspacePool()
         # Contiguous shards write through a zero-copy view of ``out``.
         if row_ids.size and row_ids[-1] - row_ids[0] + 1 == row_ids.size:
@@ -243,30 +182,18 @@ class ShardedExecutor:
     backend:
         Execution backend for the per-shard plans (default: the
         registry default).
-    mode:
-        ``"thread"`` (persistent thread pool, the default) or
-        ``"process"`` (persistent worker processes with shared-memory
-        I/O — true multicore for GIL-bound numpy plans).  ``None``
-        reads ``REPRO_SPMV_MODE``, falling back to ``"thread"``.
-        Process mode with a single active shard degenerates to
-        in-caller execution, exactly like thread mode.
     assignment:
         Pre-computed row→shard assignment (overrides ``partition``);
         lets the multi-GPU simulator reuse its own partition exactly.
-    adaptive:
-        Online re-chunking from measured per-shard seconds.  ``False``
-        keeps the initial partition for the executor's lifetime;
-        ``True`` enables :data:`DEFAULT_RESHARD_POLICY`; a
-        :class:`ReshardPolicy` enables with custom thresholds; ``None``
-        (default) reads ``REPRO_SPMV_ADAPTIVE``.  Resharding never
-        changes output bits — every assignment executes the same
-        canonical per-row reduction — only where the row boundaries
-        fall.
+    timing:
+        Record per-shard wall seconds (:attr:`last_shard_seconds`).
+    retry:
+        The :class:`~repro.resilience.recovery.RetryPolicy` of a failed
+        shard (default :data:`DEFAULT_RETRY_POLICY`).
 
     The executor mirrors the ``spmv(x, out=)`` / ``spmm(X, out=)`` API
-    of :class:`~repro.exec.plan.SpMVPlan`, and like a plan it serves one
-    execution stream — concurrent calls on the *same* executor race on
-    its workspaces.
+    of :class:`~repro.exec.plan.SpMVPlan`; concurrent calls on the same
+    executor queue on its call lock.
     """
 
     def __init__(
@@ -276,11 +203,9 @@ class ShardedExecutor:
         *,
         partition: str = "bitonic",
         backend: str | None = None,
-        mode: str | None = None,
         assignment: np.ndarray | None = None,
         timing: bool = True,
         retry: RetryPolicy | None = None,
-        adaptive: bool | ReshardPolicy | None = None,
     ) -> None:
         # Lifecycle flags first: ``close``/``__del__`` must be safe on an
         # instance whose construction failed at any later line.  The call
@@ -288,7 +213,6 @@ class ShardedExecutor:
         # in-flight calls, so it must exist before anything can fail.
         self._closed = False
         self._pool = None
-        self._procpool = None
         # Serialises whole calls: the shard pools and the shard-seconds
         # array are per-executor state, so concurrent ``spmv``/``spmm``
         # calls from different threads are safe (they queue) while the
@@ -307,13 +231,6 @@ class ShardedExecutor:
         self.backend = _resolve(backend)
         self.partition = partition
         self.timing = timing
-        if mode is None:
-            mode = env_shard_mode() or "thread"
-        if mode not in SHARD_MODES:
-            raise ValidationError(
-                f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}"
-            )
-        self.mode = mode
         if retry is None:
             retry = DEFAULT_RETRY_POLICY
         elif not isinstance(retry, RetryPolicy):
@@ -340,7 +257,6 @@ class ShardedExecutor:
                 matrix,
                 formats=(BASELINE_TUNE_FORMAT,),
                 backends=(self.backend,),
-                modes=(self.mode,),
             ).n_shards
         if not isinstance(n_shards, int) or isinstance(n_shards, bool):
             raise ValidationError(
@@ -373,68 +289,51 @@ class ShardedExecutor:
                 "expected 'bitonic' or 'contiguous'"
             )
         self.assignment = assignment
-
-        # Every shard executes the canonical row-sorted COO reduction
-        # (ascending column order within each row), so the per-row sum
-        # sequence is independent of the shard count — the bit-identity
-        # invariant.  The single-shard case rides the matrix's own
-        # cached plan on ``to_coo()`` (free for COO operators).
-        self.shards: list[_Shard] = []
-        if n_shards == 1:
-            shard = _Shard(
-                0, np.arange(self.n_rows, dtype=np.int64), matrix.to_coo()
-            )
-            shard.plan = shard.matrix.spmv_plan(self.backend)
-            self.shards.append(shard)
-        else:
-            # In process mode the workers own the hot-path plans; the
-            # parent's copies are built lazily, only if a degrade path
-            # actually needs them.
-            eager = mode != "process"
-            for index in range(n_shards):
-                row_ids = np.nonzero(assignment == index)[0]
-                shard = _Shard(index, row_ids, matrix.row_slice(row_ids))
-                if eager:
-                    shard.plan = build_plan(shard.matrix, backend=self.backend)
-                self.shards.append(shard)
-        self._active = [s for s in self.shards if s.row_ids.size]
-        self._shard_seconds = np.zeros(n_shards)
-        # Adaptive re-chunking state (bit-identity is assignment-
-        # independent, so resharding online is always *correct*; the
-        # policy only decides whether it is *worth it*).
-        if adaptive is None:
-            adaptive = _env_adaptive()
-        if isinstance(adaptive, ReshardPolicy):
-            self.reshard_policy = adaptive
-            adaptive = True
-        else:
-            self.reshard_policy = DEFAULT_RESHARD_POLICY
-            adaptive = bool(adaptive)
-        self.adaptive = adaptive and n_shards > 1 and timing
-        #: Completed online reshards.
-        self.reshards = 0
-        self._hot_streak = 0
-        self._cooldown = 0
         self._matrix = matrix
-        self._row_lengths = None  # fetched lazily on first reshard
-        # Mutation watermark: dynamic matrices bump ``data_version`` on
-        # every applied batch; ``_run`` compares and rebuilds the shard
-        # slices before executing, so a cached per-shard plan can never
-        # serve stale data after an in-place update.
-        self._data_version = matrix.data_version
+        self._build_shards()
+        self._shard_seconds = np.zeros(n_shards)
         # Persistent workers, spun up once; a single shard needs none.
-        if len(self._active) > 1 and mode == "process":
-            from repro.exec.procpool import ProcessShardPool
-
-            self._procpool = ProcessShardPool(
-                self._active, shape=self.shape, backend=self.backend
-            )
-        elif len(self._active) > 1:
+        if len(self._active) > 1:
             self._pool = ThreadPoolExecutor(
-                max_workers=max(1, len(self._active) - 1),
+                max_workers=len(self._active) - 1,
                 thread_name_prefix="repro-shard",
             )
         self._workspace = WorkspacePool()
+
+    def _build_shards(self) -> None:
+        """(Re)build every shard from one consistent matrix snapshot.
+
+        Every shard executes the canonical row-sorted COO reduction
+        (ascending column order within each row), so the per-row sum
+        sequence is independent of the shard count — the bit-identity
+        invariant.  The single-shard case rides the snapshot's own
+        cached plan (free for COO operators).
+
+        ``data_version`` is the mutation watermark: dynamic matrices
+        bump it on every applied batch, and ``_run`` rebuilds here when
+        it moves, so a cached per-shard plan never serves stale data.
+        The version is read *before* the snapshot, so a concurrent
+        update landing mid-rebuild at worst triggers one more
+        (idempotent) rebuild on the next call — never a stale or torn
+        read.  The row→shard assignment is kept.
+        """
+        version = self._matrix.data_version
+        snapshot = self._matrix.coo_snapshot()
+        if self.n_shards == 1:
+            rows = np.arange(self.n_rows, dtype=np.int64)
+            shards = [
+                _Shard(0, rows, snapshot, snapshot.spmv_plan(self.backend))
+            ]
+        else:
+            shards = []
+            for index in range(self.n_shards):
+                row_ids = np.nonzero(self.assignment == index)[0]
+                part = snapshot.select_rows(row_ids)
+                plan = build_plan(part, backend=self.backend)
+                shards.append(_Shard(index, row_ids, part, plan))
+        self.shards = shards
+        self._active = [s for s in shards if s.row_ids.size]
+        self._data_version = version
 
     # ------------------------------------------------------------------
     # Introspection
@@ -469,14 +368,18 @@ class ShardedExecutor:
 
     @property
     def resilience_stats(self) -> dict[str, int]:
-        """Cumulative recovery counters: retries, timeouts, degraded,
-        shard failures, detected corruptions, resilient calls."""
+        """Cumulative recovery counters: retries, failures, timeouts,
+        degraded shards, detected corruptions and invalidations."""
         with self._rlock:
             return dict(self._rstats)
 
-    def _count(self, key: str, n: int = 1) -> None:
+    def _event(self, stat: str, metric: str, **labels) -> None:
+        """Count one recovery event in both books: ``resilience_stats``
+        under ``stat`` and, when obs is on, the registry's ``metric``."""
         with self._rlock:
-            self._rstats[key] = self._rstats.get(key, 0) + n
+            self._rstats[stat] = self._rstats.get(stat, 0) + 1
+        if _metrics._ENABLED:
+            _metrics.METRICS.inc(metric, **labels)
 
     def balance(self):
         """Row/nnz balance diagnostics of the shard partition."""
@@ -510,268 +413,141 @@ class ShardedExecutor:
             raise ExecutorClosedError("executor is closed")
         with self._call_lock:
             # Re-check under the lock: ``close()`` holds ``_call_lock``
-            # while it tears the pools down, so a call that lost the race
-            # fails loudly here instead of submitting to a shut pool or
-            # touching unlinked shared memory.
+            # while it tears the pool down, so a call that lost the race
+            # fails loudly here instead of submitting to a shut pool.
             if self._closed:
                 raise ExecutorClosedError("executor is closed")
             if self._matrix.data_version != self._data_version:
-                self._refresh_shards()
+                self._build_shards()
+                self._event(
+                    "invalidations", "exec.invalidations",
+                    n_shards=self.n_shards,
+                )
             active = self._active
             if not active:
                 out.fill(0.0)
                 self.executions += 1
                 return
-            if _faults._ARMED:
-                # Chaos path: per-shard retry/timeout/degradation.  It may
-                # allocate per attempt — the zero-allocation contract only
-                # covers the disarmed steady state.  Process mode runs this
-                # in-parent (workers permanently suppress injection, so
-                # chaos semantics live on the parent's serial path).
-                self._run_resilient(rhs, out, batched)
-            elif self._procpool is not None:
-                self._run_process(rhs, out, batched)
-            elif self._pool is None:
+            # The caller's thread takes the first shard; the pool covers
+            # the rest — n shards occupy exactly n threads.
+            futures = [
+                self._pool.submit(self._shard_task, s, rhs, out, batched)
+                for s in active[1:]
+            ]
+            failed = []
+            try:
+                self._shard_task(active[0], rhs, out, batched)
+            except Exception:
+                failed.append((active[0], "error"))
+            timeout = self.retry.timeout_seconds
+            for shard, future in zip(active[1:], futures):
                 try:
-                    self._shard_task(active[0], rhs, out, batched)
+                    future.result(timeout=timeout)
+                except FuturesTimeoutError:
+                    self._event(
+                        "timeouts", "resilience.timeouts", shard=shard.index
+                    )
+                    # A thread cannot be killed: drain the straggler so
+                    # it never races its own recomputation on ``out`` or
+                    # the shard's buffers.
+                    future.exception()
+                    failed.append((shard, "timeout"))
                 except Exception:
-                    self._degrade_in_place(active[0], rhs, out, batched)
-            else:
-                # The caller's thread takes the first shard; the pool
-                # covers the rest — n shards occupy exactly n threads.
-                futures = [
-                    self._pool.submit(self._shard_task, s, rhs, out, batched)
-                    for s in active[1:]
-                ]
-                failed = []
-                try:
-                    self._shard_task(active[0], rhs, out, batched)
-                except Exception:
-                    failed.append(active[0])
-                for shard, future in zip(active[1:], futures):
-                    try:
-                        future.result()
-                    except Exception:
-                        failed.append(shard)
-                # Graceful degradation: failed shards re-execute serially
-                # in the caller thread; a second failure is a real bug and
-                # propagates.
-                for shard in failed:
-                    self._degrade_in_place(shard, rhs, out, batched)
+                    failed.append((shard, "error"))
+            # Graceful degradation: failed shards re-execute serially in
+            # the caller thread with injection suppressed, so recovery
+            # terminates; a failure there is a real bug and propagates.
+            for shard, reason in failed:
+                self._event(
+                    "degraded", "resilience.degraded",
+                    reason=reason, shard=shard.index,
+                )
+                with _faults.INJECTOR.suppressed():
+                    self._shard_task(shard, rhs, out, batched)
             self.executions += 1
             if _metrics._ENABLED:
                 self._report_metrics(batched)
-            if self.adaptive:
-                self._maybe_reshard()
 
-    # ------------------------------------------------------------------
-    # Process-mode fan-out
-    # ------------------------------------------------------------------
-
-    def _run_process(
-        self, rhs: np.ndarray, out: np.ndarray, batched: bool
+    def _shard_task(
+        self, shard: _Shard, rhs: np.ndarray, out: np.ndarray, batched: bool
     ) -> None:
-        """One shared-memory round on the worker pool; any shard whose
-        worker died, errored or was killed on timeout is recomputed
-        serially in the parent (bit-identical — same rows, same
-        canonical reduction) while the pool respawns its worker."""
-        seconds = self._shard_seconds if self.timing else None
-        timeout = self.retry.timeout_seconds
-        if batched:
-            failed = self._procpool.spmm(rhs, out, seconds, timeout)
-        else:
-            failed = self._procpool.spmv(rhs, out, seconds, timeout)
-        for index in failed:
-            self._count("worker_deaths")
-            if _metrics._ENABLED:
-                _metrics.METRICS.inc("resilience.worker.deaths", shard=index)
-            self._degrade_in_place(
-                self.shards[index], rhs, out, batched, reason="worker"
-            )
+        """Write ``shard``'s rows of ``out``, retrying failed attempts.
 
-    @property
-    def worker_pids(self) -> dict[int, int]:
-        """Shard index → worker pid (empty outside process mode)."""
-        return self._procpool.worker_pids if self._procpool else {}
-
-    @property
-    def worker_respawns(self) -> int:
-        """Cumulative worker-process respawns (process mode only)."""
-        return self._procpool.respawns if self._procpool else 0
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def _degrade_in_place(
-        self,
-        shard: _Shard,
-        rhs: np.ndarray,
-        out: np.ndarray,
-        batched: bool,
-        reason: str = "error",
-    ) -> None:
-        """Serial re-execution of a failed shard in the caller thread.
-
-        Shards fully overwrite their rows of ``out``, so re-running over
-        a partial write is safe.  Runs with fault injection suppressed —
-        the fallback must be fault-free for recovery to terminate.
+        Each attempt fully overwrites the shard's rows — every backend's
+        ``_execute``/``_execute_many`` writes every output row — so the
+        final bytes always come from exactly one complete attempt, and a
+        retry may reuse the zero-copy view or pooled buffer of the
+        attempt it replaces.  While fault injection is armed the fault
+        sites fire and a non-finite output fails the attempt; disarmed,
+        both cost one boolean test.
         """
-        self._count("degraded")
-        if _metrics._ENABLED:
-            _metrics.METRICS.inc(
-                "resilience.degraded", reason=reason, shard=shard.index
-            )
-        with _faults.INJECTOR.suppressed():
-            self._shard_task(shard, rhs, out, batched)
-
-    def _run_resilient(
-        self, rhs: np.ndarray, out: np.ndarray, batched: bool
-    ) -> None:
-        """Fault-tolerant fan-out: each shard attempt computes into a
-        fresh local buffer; exactly one winning buffer per shard is
-        scattered into ``out`` after every shard settled.  That keeps
-        abandoned stragglers (timeouts cannot kill a Python thread) from
-        racing recovery on shared plan workspaces or on ``out``."""
-        active = self._active
-        self._count("resilient_calls")
-        futures = []
-        serial_rest: list[_Shard] = []
-        if self._pool is not None:
-            futures = [
-                (s, self._pool.submit(self._attempt_shard, s, rhs, batched))
-                for s in active[1:]
-            ]
-        else:
-            # No thread pool — single active shard, or process mode
-            # running the chaos path in-parent: the remaining shards go
-            # through the same retry/degrade machinery, serially.
-            serial_rest = active[1:]
-        results: dict[int, np.ndarray] = {}
-        for shard in [active[0], *serial_rest]:
-            try:
-                results[shard.index] = self._attempt_shard(shard, rhs, batched)
-            except Exception:
-                results[shard.index] = self._degraded_result(
-                    shard, rhs, batched, reason="error"
-                )
-        timeout = self.retry.timeout_seconds
-        for shard, future in futures:
-            try:
-                results[shard.index] = future.result(timeout=timeout)
-            except FuturesTimeoutError:
-                self._count("timeouts")
-                if _metrics._ENABLED:
-                    _metrics.METRICS.inc(
-                        "resilience.timeouts", shard=shard.index
-                    )
-                # Drain the straggler (its late buffer is discarded), then
-                # recompute serially: detection + accounting, not a kill.
-                try:
-                    future.result()
-                except Exception:
-                    pass
-                results[shard.index] = self._degraded_result(
-                    shard, rhs, batched, reason="timeout"
-                )
-            except Exception:
-                results[shard.index] = self._degraded_result(
-                    shard, rhs, batched, reason="error"
-                )
-        for shard in active:
-            local = results[shard.index]
-            if shard.contiguous:
-                out[shard.start : shard.stop] = local
-            else:
-                out[shard.row_ids] = local
-
-    def _attempt_shard(
-        self, shard: _Shard, rhs: np.ndarray, batched: bool
-    ) -> np.ndarray:
-        """Bounded retry with exponential backoff around one shard."""
         policy = self.retry
+        tick = time.perf_counter() if self.timing else 0.0
         last: Exception | None = None
         for attempt in range(policy.max_attempts):
             if attempt:
-                self._count("retries")
-                if _metrics._ENABLED:
-                    _metrics.METRICS.inc(
-                        "resilience.retries", shard=shard.index
-                    )
+                self._event(
+                    "retries", "resilience.retries", shard=shard.index
+                )
                 time.sleep(policy.backoff(attempt))
             try:
-                return self._guarded_attempt(shard, rhs, batched, attempt)
-            except Exception as exc:
-                self._count("failures")
-                if _metrics._ENABLED:
-                    _metrics.METRICS.inc(
-                        "resilience.shard.failures", shard=shard.index
+                armed = _faults._ARMED
+                if armed:
+                    _faults.INJECTOR.fire(
+                        "shard.task", shard=shard.index, attempt=attempt
                     )
+                    _faults.INJECTOR.fire(
+                        "backend.spmm" if batched else "backend.spmv",
+                        shard=shard.index,
+                        attempt=attempt,
+                    )
+                k = shard.row_ids.size
+                if shard.contiguous:
+                    target = out[shard.start : shard.stop]
+                elif batched:
+                    target = shard.pool.buffer("shard:Y", (k, rhs.shape[1]))
+                else:
+                    target = shard.pool.buffer("shard:y", k)
+                if batched:
+                    shard.plan._execute_many(rhs, target)
+                else:
+                    shard.plan._execute(rhs, target)
+                if armed:
+                    _faults.INJECTOR.corrupt(
+                        "backend.corrupt", target,
+                        shard=shard.index, attempt=attempt,
+                    )
+                    _faults.INJECTOR.corrupt(
+                        "shard.corrupt", target,
+                        shard=shard.index, attempt=attempt,
+                    )
+                    if (
+                        policy.validate_outputs
+                        and target.size
+                        and not all_finite(target)
+                    ):
+                        self._event(
+                            "corruption_detected",
+                            "resilience.corruption.detected",
+                            shard=shard.index,
+                        )
+                        raise CorruptedOutputError(
+                            f"shard {shard.index} produced non-finite output"
+                        )
+                if not shard.contiguous:
+                    out[shard.row_ids] = target
+            except Exception as exc:
+                self._event(
+                    "failures", "resilience.shard.failures", shard=shard.index
+                )
                 last = exc
+                continue
+            if self.timing:
+                self._shard_seconds[shard.index] = time.perf_counter() - tick
+            return
         raise ShardExecutionError(
             f"shard {shard.index} failed after {policy.max_attempts} attempts"
         ) from last
-
-    def _guarded_attempt(
-        self, shard: _Shard, rhs: np.ndarray, batched: bool, attempt: int
-    ) -> np.ndarray:
-        tick = time.perf_counter() if self.timing else 0.0
-        _faults.INJECTOR.fire("shard.task", shard=shard.index, attempt=attempt)
-        _faults.INJECTOR.fire(
-            "backend.spmm" if batched else "backend.spmv",
-            shard=shard.index,
-            attempt=attempt,
-        )
-        self._ensure_plan(shard)
-        k = shard.row_ids.size
-        # Fresh buffer per attempt: an abandoned straggler must never
-        # share scratch with its replacement.
-        if batched:
-            local = np.empty((k, rhs.shape[1]))
-            shard.plan._execute_many(rhs, local)
-        else:
-            local = np.empty(k)
-            shard.plan._execute(rhs, local)
-        _faults.INJECTOR.corrupt(
-            "backend.corrupt", local, shard=shard.index, attempt=attempt
-        )
-        _faults.INJECTOR.corrupt(
-            "shard.corrupt", local, shard=shard.index, attempt=attempt
-        )
-        if self.retry.validate_outputs and local.size and not all_finite(local):
-            self._count("corruption_detected")
-            if _metrics._ENABLED:
-                _metrics.METRICS.inc(
-                    "resilience.corruption.detected", shard=shard.index
-                )
-            raise CorruptedOutputError(
-                f"shard {shard.index} produced non-finite output"
-            )
-        if self.timing:
-            self._shard_seconds[shard.index] = time.perf_counter() - tick
-        return local
-
-    def _degraded_result(
-        self, shard: _Shard, rhs: np.ndarray, batched: bool, reason: str
-    ) -> np.ndarray:
-        """Serial fault-suppressed recomputation into a fresh buffer."""
-        self._ensure_plan(shard)
-        self._count("degraded")
-        if _metrics._ENABLED:
-            _metrics.METRICS.inc(
-                "resilience.degraded", reason=reason, shard=shard.index
-            )
-        tick = time.perf_counter() if self.timing else 0.0
-        k = shard.row_ids.size
-        local = np.empty((k, rhs.shape[1])) if batched else np.empty(k)
-        with _faults.INJECTOR.suppressed():
-            if batched:
-                shard.plan._execute_many(rhs, local)
-            else:
-                shard.plan._execute(rhs, local)
-        if self.timing:
-            self._shard_seconds[shard.index] = time.perf_counter() - tick
-        return local
 
     def _report_metrics(self, batched: bool) -> None:
         """Feed the registry after a completed call (obs enabled only)."""
@@ -794,165 +570,6 @@ class ShardedExecutor:
             imbalance = max(active_seconds) / mean
             _metrics.METRICS.set_gauge("sharded.imbalance", imbalance)
             _metrics.METRICS.observe("sharded.imbalance.samples", imbalance)
-
-    # ------------------------------------------------------------------
-    # Adaptive re-chunking (parakeet-style throughput-measured sizing)
-    # ------------------------------------------------------------------
-
-    def _measured_imbalance(self) -> float:
-        """max/mean of the last call's active-shard seconds (0.0 when
-        unmeasured)."""
-        active = self._active
-        if len(active) < 2:
-            return 0.0
-        vals = [self._shard_seconds[s.index] for s in active]
-        mean = sum(vals) / len(vals)
-        return max(vals) / mean if mean > 0.0 else 0.0
-
-    def _maybe_reshard(self) -> None:
-        """Debounced trigger: reshard only after ``patience`` calls in
-        a row over the imbalance threshold, then cool down."""
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            return
-        imbalance = self._measured_imbalance()
-        if imbalance < self.reshard_policy.threshold:
-            self._hot_streak = 0
-            return
-        self._hot_streak += 1
-        if self._hot_streak < self.reshard_policy.patience:
-            return
-        self._hot_streak = 0
-        self._cooldown = self.reshard_policy.cooldown
-        self._reshard(imbalance)
-
-    def _reshard(self, imbalance: float) -> None:
-        """Re-run the serpentine deal over measured-cost row weights.
-
-        Each shard's observed seconds-per-nnz becomes a cost multiplier
-        on its rows (the parakeet idiom: chunk by *measured* throughput,
-        not assumed-uniform cost), so rows living on a slow shard weigh
-        more and the new deal moves work off it.  The ``+1`` keeps
-        empty rows dealable.
-        """
-        from repro.multigpu.bitonic import bitonic_partition
-
-        lengths = self._row_lengths
-        if lengths is None:
-            lengths = np.asarray(self._matrix.row_lengths(), dtype=np.float64)
-            self._row_lengths = lengths
-        seconds = self._shard_seconds
-        nnz = self.shard_nnz.astype(np.float64)
-        measured = (seconds > 0.0) & (nnz > 0.0)
-        if not measured.any():
-            return
-        rates = np.ones(self.n_shards)
-        rates[measured] = seconds[measured] / nnz[measured]
-        rates /= rates[measured].mean()
-        weights = (lengths + 1.0) * rates[self.assignment]
-        new_assignment = bitonic_partition(weights, self.n_shards)
-        moved = int(np.count_nonzero(new_assignment != self.assignment))
-        if moved == 0:
-            return
-        self._apply_assignment(new_assignment)
-        self.reshards += 1
-        self._count("reshards")
-        if _metrics._ENABLED:
-            _metrics.METRICS.inc("exec.reshard.count", n_shards=self.n_shards)
-            _metrics.METRICS.observe("exec.reshard.imbalance", imbalance)
-            _metrics.METRICS.observe("exec.reshard.rows_moved", float(moved))
-
-    def _apply_assignment(self, assignment: np.ndarray) -> None:
-        """Rebuild shards (and worker processes) for a new row→shard
-        assignment.  Runs under ``_call_lock`` (called from ``_run``),
-        so no in-flight call can see a half-built shard list."""
-        shards: list[_Shard] = []
-        eager = self.mode != "process"
-        for index in range(self.n_shards):
-            row_ids = np.nonzero(assignment == index)[0]
-            shard = _Shard(index, row_ids, self._matrix.row_slice(row_ids))
-            if eager:
-                shard.plan = build_plan(shard.matrix, backend=self.backend)
-            shards.append(shard)
-        self.assignment = assignment
-        self.shards = shards
-        self._active = [s for s in shards if s.row_ids.size]
-        if self._procpool is not None:
-            self._procpool.reshard(self._active)
-
-    def _refresh_shards(self) -> None:
-        """Rebuild every shard from one consistent matrix snapshot.
-
-        Runs under ``_call_lock`` when ``_run`` observes a
-        ``data_version`` ahead of the watermark.  The version is read
-        *before* the snapshot, so a concurrent update landing mid-
-        rebuild at worst triggers one more (idempotent) refresh on the
-        next call — never a stale or torn read.  The row→shard
-        assignment is kept; only the slices and their plans rebuild.
-        """
-        version = self._matrix.data_version
-        snapshot = self._matrix.coo_snapshot()
-        shards: list[_Shard] = []
-        if self.n_shards == 1:
-            shard = _Shard(
-                0, np.arange(self.n_rows, dtype=np.int64), snapshot
-            )
-            shard.plan = shard.matrix.spmv_plan(self.backend)
-            shards.append(shard)
-        else:
-            eager = self.mode != "process"
-            for index in range(self.n_shards):
-                row_ids = np.nonzero(self.assignment == index)[0]
-                shard = _Shard(index, row_ids, snapshot.select_rows(row_ids))
-                if eager:
-                    shard.plan = build_plan(shard.matrix, backend=self.backend)
-                shards.append(shard)
-        self.shards = shards
-        self._active = [s for s in shards if s.row_ids.size]
-        self._row_lengths = None
-        self._data_version = version
-        if self._procpool is not None:
-            self._procpool.reshard(self._active)
-        self._count("invalidations")
-        if _metrics._ENABLED:
-            _metrics.METRICS.inc(
-                "exec.invalidations", n_shards=self.n_shards
-            )
-
-    def _ensure_plan(self, shard: _Shard):
-        """The shard's parent-side plan, built on first need.
-
-        Thread mode builds plans eagerly at construction; process mode
-        defers them to here — the workers own the hot-path plans, and
-        the parent only needs one when a degrade path recomputes a
-        shard locally.
-        """
-        if shard.plan is None:
-            shard.plan = build_plan(shard.matrix, backend=self.backend)
-        return shard.plan
-
-    def _shard_task(
-        self, shard: _Shard, rhs: np.ndarray, out: np.ndarray, batched: bool
-    ) -> None:
-        self._ensure_plan(shard)
-        tick = time.perf_counter() if self.timing else 0.0
-        k = shard.row_ids.size
-        if shard.contiguous:
-            target = out[shard.start : shard.stop]
-            if batched:
-                shard.plan._execute_many(rhs, target)
-            else:
-                shard.plan._execute(rhs, target)
-        else:
-            if batched:
-                local = shard.pool.buffer("shard:Y", (k, rhs.shape[1]))
-                shard.plan._execute_many(rhs, local)
-            else:
-                local = shard.pool.buffer("shard:y", k)
-                shard.plan._execute(rhs, local)
-            out[shard.row_ids] = local
-        if self.timing:
-            self._shard_seconds[shard.index] = time.perf_counter() - tick
 
     def _normalize_rhs(self, X: np.ndarray) -> np.ndarray:
         """Mirror of :meth:`SpMVPlan.normalize_rhs`: loud
@@ -1006,35 +623,30 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pools down; the executor is unusable after.
+        """Shut the worker pool down; the executor is unusable after.
 
         Drains: acquires ``_call_lock``, so an in-flight ``spmv``/``spmm``
-        completes (and its ``out`` is fully written) before the thread pool
-        shuts down or the process pool unlinks its shared-memory segments.
-        Calls that arrive after the drain raise
+        completes (and its ``out`` is fully written) before the thread
+        pool shuts down.  Calls that arrive after the drain raise
         :class:`~repro.errors.ExecutorClosedError`.
 
         Idempotent, and safe on a partially-constructed instance (an
         ``__init__`` that failed before the pool existed): the lock and
-        pools are read defensively and double closes are no-ops.
+        pool are read defensively and double closes are no-ops.
         """
         lock = getattr(self, "_call_lock", None)
         if lock is None:
-            self._teardown_pools()
+            self._teardown_pool()
             return
         with lock:
-            self._teardown_pools()
+            self._teardown_pool()
 
-    def _teardown_pools(self) -> None:
+    def _teardown_pool(self) -> None:
         self._closed = True
         pool = getattr(self, "_pool", None)
         if pool is not None:
             self._pool = None
             pool.shutdown(wait=True)
-        procpool = getattr(self, "_procpool", None)
-        if procpool is not None:
-            self._procpool = None
-            procpool.close()
 
     def __enter__(self) -> "ShardedExecutor":
         return self
@@ -1046,16 +658,10 @@ class ShardedExecutor:
         pool = getattr(self, "_pool", None)
         if pool is not None:
             pool.shutdown(wait=False)
-        procpool = getattr(self, "_procpool", None)
-        if procpool is not None:
-            try:
-                procpool.close()
-            except Exception:
-                pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedExecutor(shape={self.shape}, n_shards={self.n_shards}, "
             f"partition={self.partition!r}, backend={self.backend!r}, "
-            f"mode={self.mode!r}, executions={self.executions})"
+            f"executions={self.executions})"
         )

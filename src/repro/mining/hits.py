@@ -68,7 +68,6 @@ def hits(
     multi_vector: bool = True,
     executor=None,
     n_shards: int | str | None = None,
-    shard_mode: str | None = None,
     tune: bool = False,
     checkpoint=None,
     resume_from=None,
@@ -108,7 +107,7 @@ def hits(
     with mining_setup(
         adjacency, "hits", hits_operator, kernel, device=device,
         kernel_options=kernel_options, executor=executor,
-        n_shards=n_shards, shard_mode=shard_mode, tune=tune,
+        n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
         spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint

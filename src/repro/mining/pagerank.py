@@ -67,7 +67,6 @@ def pagerank(
     max_iter: int = 200,
     executor=None,
     n_shards: int | str | None = None,
-    shard_mode: str | None = None,
     tune: bool = False,
     checkpoint=None,
     resume_from=None,
@@ -92,9 +91,6 @@ def pagerank(
         (``"auto"`` for the nnz/cores policy), built on the first such
         run and cached on ``adjacency`` for later ones.  The iterates
         are bit-identical to the single-shard run.
-    shard_mode:
-        ``"thread"`` or ``"process"`` fan-out for the sharded run (see
-        :class:`~repro.exec.ShardedExecutor`); needs ``n_shards``.
     tune:
         Let the measured auto-tuner (:func:`repro.tuner.tune`) decide
         the execution configuration for the PageRank operator —
@@ -130,7 +126,7 @@ def pagerank(
     with mining_setup(
         adjacency, "pagerank", pagerank_operator, kernel, device=device,
         kernel_options=kernel_options, executor=executor,
-        n_shards=n_shards, shard_mode=shard_mode, tune=tune,
+        n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
         spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint

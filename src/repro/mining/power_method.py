@@ -70,29 +70,26 @@ class _SetupEntry:
             self.kernels[key] = spmv
         return spmv
 
-    def sharded_executor(self, n_shards, mode):
+    def sharded_executor(self, n_shards):
         """The cached :class:`~repro.exec.ShardedExecutor` for the
-        *resolved* shard count, mode and backend; a change in any of
-        them (``"auto"`` under a new affinity mask, a new
-        ``REPRO_SPMV_SHARDS`` / ``REPRO_SPMV_MODE``, a new default
-        backend) closes the old executor and builds its replacement."""
+        *resolved* shard count and backend; a change in either (``"auto"``
+        under a new affinity mask, a new ``REPRO_SPMV_SHARDS``, a new
+        default backend) closes the old executor and builds its
+        replacement."""
         from repro.exec.backends import _resolve
         from repro.exec.sharded import (
             ShardedExecutor,
             auto_shard_count,
             env_shard_count,
-            env_shard_mode,
         )
 
         if n_shards == "auto":
             n_shards = env_shard_count() or auto_shard_count(
                 self.operator.nnz
             )
-        key = (n_shards, mode or env_shard_mode() or "thread", _resolve(None))
+        key = (n_shards, _resolve(None))
         if self.sharded_key != key:
-            executor = ShardedExecutor(
-                self.operator, key[0], mode=key[1], backend=key[2]
-            )
+            executor = ShardedExecutor(self.operator, key[0], backend=key[1])
             if self.sharded is not None:
                 self.sharded.close()
             self.sharded, self.sharded_key = executor, key
@@ -119,7 +116,6 @@ def mining_setup(
     kernel_options: dict,
     executor,
     n_shards,
-    shard_mode,
     tune: bool,
     create,
     fingerprint,
@@ -168,10 +164,7 @@ def mining_setup(
             spmv = kernel
         else:
             spmv = entry.kernel(kernel, device, kernel_options, create)
-        engine = resolve_engine(
-            entry, spmv, executor, n_shards, tune=tune,
-            shard_mode=shard_mode,
-        )
+        engine = resolve_engine(entry, spmv, executor, n_shards, tune=tune)
         try:
             yield RunSetup(entry.operator, entry.fingerprint, spmv, engine)
         except BaseException:
@@ -185,7 +178,6 @@ def resolve_engine(
     executor=None,
     n_shards=None,
     tune=False,
-    shard_mode=None,
 ):
     """Choose the object whose ``spmv``/``spmm`` drives a power loop.
 
@@ -194,16 +186,14 @@ def resolve_engine(
     forces the sharded executor underneath every mining call (the CI
     configuration).  ``n_shards`` (an int, or ``"auto"`` for the
     nnz-and-cores policy) takes the :class:`~repro.exec.ShardedExecutor`
-    cached on the setup ``entry``; ``shard_mode``
-    (``"thread"``/``"process"``, default ``REPRO_SPMV_MODE`` or thread)
-    selects its fan-out mechanism.  A caller-owned ``executor``
+    cached on the setup ``entry``.  A caller-owned ``executor``
     (pre-built on the same operator, reusable across runs) is used
     as-is and left open.  ``tune=True`` takes the operator's measured
     auto-tuned engine (:meth:`~repro.formats.base.SparseMatrix.tuned_plan`,
-    the fastest ``format x backend x shard-count x mode``
-    configuration) — mutually exclusive with
-    ``executor``/``n_shards``/``shard_mode``, which pin what the tuner
-    would decide.  Nothing is built per run and nothing is closed here.
+    the fastest ``format x backend x shard-count`` configuration) —
+    mutually exclusive with ``executor``/``n_shards``, which pin what
+    the tuner would decide.  Nothing is built per run and nothing is
+    closed here.
     """
     from repro.exec.sharded import env_shard_count
 
@@ -213,22 +203,12 @@ def resolve_engine(
                 "tune=True decides the executor configuration; do not "
                 "also pass executor= or n_shards="
             )
-        if shard_mode is not None:
-            raise ValidationError(
-                "tune=True decides the shard mode; do not also pass "
-                "shard_mode="
-            )
         entry.tuned = entry.operator.tuned_plan()
         return entry.tuned
     if executor is not None:
         if n_shards is not None:
             raise ValidationError(
                 "pass either executor= or n_shards=, not both"
-            )
-        if shard_mode is not None:
-            raise ValidationError(
-                "a caller-owned executor fixes the shard mode; do not "
-                "also pass shard_mode="
             )
         if executor.shape != entry.operator.shape:
             raise ValidationError(
@@ -239,13 +219,8 @@ def resolve_engine(
     if n_shards is None:
         n_shards = env_shard_count()
         if n_shards is None:
-            if shard_mode is not None:
-                raise ValidationError(
-                    "shard_mode= needs a sharded run; pass n_shards= "
-                    "(or set REPRO_SPMV_SHARDS) as well"
-                )
             return kernel
-    return entry.sharded_executor(n_shards, shard_mode)
+    return entry.sharded_executor(n_shards)
 
 
 def resolve_checkpoint(checkpoint):

@@ -63,7 +63,6 @@ def random_walk_with_restart(
     batched: bool = True,
     executor=None,
     n_shards: int | str | None = None,
-    shard_mode: str | None = None,
     tune: bool = False,
     checkpoint=None,
     resume_from=None,
@@ -117,7 +116,7 @@ def random_walk_with_restart(
     with mining_setup(
         adjacency, "rwr", rwr_operator, kernel, device=device,
         kernel_options=kernel_options, executor=executor,
-        n_shards=n_shards, shard_mode=shard_mode, tune=tune,
+        n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
         spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint

@@ -75,9 +75,9 @@ def disable() -> None:
 
 #: Ring-buffer reservoir length per histogram series.  512 float slots
 #: (4 KiB) bound memory regardless of run length while keeping enough
-#: recent samples for stable p50/p99 — a sliding window, which is what
-#: the adaptive re-chunker wants anyway (old shard boundaries' timings
-#: must age out, not dilute the quantiles forever).
+#: recent samples for stable p50/p99 — a sliding window, so timings
+#: from an earlier phase of a long run age out instead of diluting the
+#: quantiles forever.
 RESERVOIR_SIZE = 512
 
 

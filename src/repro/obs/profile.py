@@ -143,7 +143,6 @@ def run_profile(
                 "shard_imbalance_p99": (
                     imbalance_hist["p99"] if imbalance_hist else None
                 ),
-                "reshards": registry.counter_total("exec.reshard.count"),
             },
             "algorithms": {
                 "pagerank": _algorithm_section(pr),

@@ -14,9 +14,11 @@ The executor's guarantees (see DESIGN.md §10):
   again by injection;
 * results are bit-identical to the fault-free run — retries and the
   degraded fallback execute the *same cached plan* on the same rows,
-  and a shard's output never mixes attempts (each attempt computes into
-  a fresh local buffer; exactly one winning buffer is scattered into
-  ``out``).
+  and a shard's output never mixes attempts: every attempt fully
+  overwrites the shard's rows (its zero-copy ``out`` view, or its
+  pooled buffer before the scatter), and a timed-out straggler is
+  drained before its rows are recomputed, so the final bytes come from
+  exactly one complete attempt.
 """
 
 from __future__ import annotations

@@ -123,12 +123,11 @@ class _EngineSlot:
 
 
 class _GraphEntry:
-    def __init__(self, name, matrix, *, n_shards, shard_mode, tune,
-                 tune_options, retry):
+    def __init__(self, name, matrix, *, n_shards, tune, tune_options,
+                 retry):
         self.name = name
         self.matrix = matrix
         self.n_shards = n_shards
-        self.shard_mode = shard_mode
         self.tune = tune
         self.tune_options = dict(tune_options or {})
         self.retry = retry
@@ -211,7 +210,6 @@ class QueryService:
         matrix,
         *,
         n_shards: int | str | None = None,
-        shard_mode: str | None = None,
         tune: bool = False,
         tune_options: dict | None = None,
     ) -> None:
@@ -224,10 +222,10 @@ class QueryService:
         operator's cached plan.  Engines are built lazily on the first
         query (warming), so registration is cheap.
         """
-        if tune and (n_shards is not None or shard_mode is not None):
+        if tune and n_shards is not None:
             raise ValidationError(
                 "tune=True decides the executor configuration; do not "
-                "also pass n_shards=/shard_mode="
+                "also pass n_shards="
             )
         if matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(
@@ -238,8 +236,8 @@ class QueryService:
                 raise ValidationError(f"graph {name!r} already registered")
             self._graphs[name] = _GraphEntry(
                 name, matrix,
-                n_shards=n_shards, shard_mode=shard_mode,
-                tune=tune, tune_options=tune_options, retry=self.retry,
+                n_shards=n_shards, tune=tune, tune_options=tune_options,
+                retry=self.retry,
             )
 
     def graphs(self) -> dict[str, str]:
@@ -559,14 +557,10 @@ class QueryService:
         elif entry.n_shards is not None:
             from repro.exec.sharded import ShardedExecutor
 
-            n_shards, mode, retry = (
-                entry.n_shards, entry.shard_mode, entry.retry
-            )
+            n_shards, retry = entry.n_shards, entry.retry
 
             def factory():
-                return ShardedExecutor(
-                    operator, n_shards, mode=mode, retry=retry
-                )
+                return ShardedExecutor(operator, n_shards, retry=retry)
 
         else:
 

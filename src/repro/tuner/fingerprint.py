@@ -158,7 +158,7 @@ def environment_key() -> dict:
     decisions for re-measurement.
     """
     from repro.exec.native import numba_versions
-    from repro.exec.sharded import SHARD_MODES, available_cpu_count
+    from repro.exec.sharded import available_cpu_count
 
     try:
         import scipy
@@ -175,7 +175,6 @@ def environment_key() -> dict:
         # on the same machine under a different CPU limit is a
         # different machine as far as shard decisions are concerned.
         "cpu_affinity": available_cpu_count(),
-        "shard_modes": list(SHARD_MODES),
         "numpy": np.__version__,
         "scipy": scipy_version,
         # numba/llvmlite versions (None when absent): installing or

@@ -1,8 +1,7 @@
 """Model-seeded, measurement-decided execution auto-tuning.
 
 :func:`tune` picks the execution configuration — storage **format**,
-execution **backend**, row **shard count**, shard **mode**
-(thread pool vs shared-memory worker processes) — that actually runs a
+execution **backend** and row **shard count** — that actually runs a
 matrix's SpMV fastest on this host:
 
 1. **Prune with the model.**  §5 kernel selection
@@ -115,9 +114,6 @@ class TuningDecision:
     n_shards: int
     #: Median measured seconds per SpMV of the winning candidate.
     seconds: float
-    #: Shard fan-out mechanism (``"thread"`` or ``"process"``; always
-    #: ``"thread"`` for single-shard decisions, where it is moot).
-    mode: str = "thread"
     #: The §5 model's kernel pick that seeded the grid (``None`` when
     #: the format grid was caller-pinned and the model was bypassed).
     model_kernel: str | None = None
@@ -137,7 +133,6 @@ class TuningDecision:
             "format": self.format,
             "backend": self.backend,
             "n_shards": self.n_shards,
-            "mode": self.mode,
             "seconds": self.seconds,
             "model_kernel": self.model_kernel,
             "candidates": list(self.candidates),
@@ -145,8 +140,6 @@ class TuningDecision:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TuningDecision":
-        from repro.exec.sharded import SHARD_MODES
-
         if payload.get("format") not in FORMAT_BUILDERS:
             raise ValidationError(
                 f"decision names unknown format {payload.get('format')!r}"
@@ -156,19 +149,11 @@ class TuningDecision:
             raise ValidationError(
                 f"decision has invalid shard count {n_shards!r}"
             )
-        # Decisions persisted before the mode leg existed default to
-        # the thread pool — exactly what they were measured on.
-        mode = payload.get("mode", "thread")
-        if mode not in SHARD_MODES:
-            raise ValidationError(
-                f"decision names unknown shard mode {mode!r}"
-            )
         return cls(
             fingerprint=str(payload["fingerprint"]),
             format=str(payload["format"]),
             backend=str(payload["backend"]),
             n_shards=n_shards,
-            mode=str(mode),
             seconds=float(payload["seconds"]),
             model_kernel=payload.get("model_kernel"),
             candidates=list(payload.get("candidates", [])),
@@ -205,7 +190,6 @@ class TunedEngine:
                 self.formatted,
                 decision.n_shards,
                 backend=decision.backend,
-                mode=decision.mode,
             )
 
     @property
@@ -240,7 +224,7 @@ class TunedEngine:
         d = self.decision
         return (
             f"TunedEngine(format={d.format!r}, backend={d.backend!r}, "
-            f"n_shards={d.n_shards}, mode={d.mode!r})"
+            f"n_shards={d.n_shards})"
         )
 
 
@@ -301,30 +285,21 @@ def candidate_grid(
     formats: tuple | list | None = None,
     backends: tuple | list | None = None,
     shard_counts: tuple | list | None = None,
-    modes: tuple | list | None = None,
     table=None,
-) -> tuple[list[tuple[str, str, int, str]], dict]:
-    """The pruned ``format x backend x shard-count x mode`` grid.
+) -> tuple[list[tuple[str, str, int]], dict]:
+    """The pruned ``format x backend x shard-count`` grid.
 
-    Returns the candidate 4-tuples plus a meta dict recording the model
+    Returns the candidate triples plus a meta dict recording the model
     kernel that seeded the pruning and any statistics-based skips.
     Caller-pinned ``formats`` bypass the model entirely.  Backends are
     discovered from the registry, so the numba ``native`` backend joins
-    the grid automatically wherever it is importable; likewise
-    ``mode="process"`` joins automatically on multi-core hosts (on one
-    core its worker processes are pure overhead, so it is not measured
-    unless pinned).  Single-shard cells carry only ``"thread"`` — mode
-    is moot without a fan-out.
+    the grid automatically wherever it is importable.
     """
     from repro.exec.backends import (
         available_backends,
         default_backend_name,
     )
-    from repro.exec.sharded import (
-        SHARD_MODES,
-        auto_shard_count,
-        available_cpu_count,
-    )
+    from repro.exec.sharded import auto_shard_count
 
     device = device or DeviceSpec.tesla_c1060()
     model_kernel: str | None = None
@@ -355,24 +330,11 @@ def candidate_grid(
         shard_list = sorted({int(s) for s in shard_counts})
         if shard_list and shard_list[0] < 1:
             raise ValidationError("shard counts must be >= 1")
-    if modes is None:
-        mode_list = (
-            list(SHARD_MODES) if available_cpu_count() > 1 else ["thread"]
-        )
-    else:
-        mode_list = [str(m).lower() for m in modes]
-        for m in mode_list:
-            if m not in SHARD_MODES:
-                raise ValidationError(
-                    f"unknown shard mode {m!r}; expected one of "
-                    f"{SHARD_MODES}"
-                )
     candidates = [
-        (fmt, backend, n_shards, mode)
+        (fmt, backend, n_shards)
         for fmt in format_list
         for backend in backend_list
         for n_shards in shard_list
-        for mode in (mode_list if n_shards > 1 else ["thread"])
     ]
     meta = {"model_kernel": model_kernel, "skipped": skipped}
     return candidates, meta
@@ -383,7 +345,6 @@ def _measure(
     fmt: str,
     backend: str,
     n_shards: int,
-    mode: str,
     x: np.ndarray,
     out: np.ndarray,
     *,
@@ -403,9 +364,7 @@ def _measure(
                 plan.execute(x, out=out)
 
         else:
-            executor = ShardedExecutor(
-                formatted, n_shards, backend=backend, mode=mode
-            )
+            executor = ShardedExecutor(formatted, n_shards, backend=backend)
 
             def run() -> None:
                 executor.spmv(x, out=out)
@@ -433,7 +392,7 @@ def _measure(
 
 
 def _normalise_options(
-    formats, backends, shard_counts, modes, repeats: int, warmup: int
+    formats, backends, shard_counts, repeats: int, warmup: int
 ) -> dict:
     """JSON-stable record of the tuning constraints — part of the
     cache key, so a decision measured over one grid is never replayed
@@ -450,7 +409,6 @@ def _normalise_options(
             if shard_counts is None
             else sorted(int(s) for s in shard_counts)
         ),
-        "modes": None if modes is None else sorted(str(m) for m in modes),
         "repeats": int(repeats),
         "warmup": int(warmup),
     }
@@ -463,7 +421,6 @@ def tune(
     formats: tuple | list | None = None,
     backends: tuple | list | None = None,
     shard_counts: tuple | list | None = None,
-    modes: tuple | list | None = None,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
     cache: TuningCache | str | None = "env",
@@ -478,11 +435,10 @@ def tune(
     ----------
     matrix:
         Any :class:`~repro.formats.base.SparseMatrix`.
-    formats, backends, shard_counts, modes:
+    formats, backends, shard_counts:
         Pin parts of the candidate grid; ``None`` means the pruned
         default (model-seeded formats, every available backend, shard
-        counts 1 and the auto policy's pick, thread mode plus process
-        mode on multi-core hosts).
+        counts 1 and the auto policy's pick).
     repeats, warmup:
         Median-of-``repeats`` timed runs after ``warmup`` unmeasured
         ones, per candidate.
@@ -514,7 +470,7 @@ def tune(
     fingerprint = matrix_fingerprint(matrix)
     environment = environment_key()
     options = _normalise_options(
-        formats, backends, shard_counts, modes, repeats, warmup
+        formats, backends, shard_counts, repeats, warmup
     )
 
     if revalidate is True:
@@ -556,7 +512,6 @@ def tune(
         formats=formats,
         backends=backends,
         shard_counts=shard_counts,
-        modes=modes,
         table=table,
     )
     rng = np.random.default_rng(0)
@@ -567,10 +522,9 @@ def tune(
     with trace(
         "tuner.tune", fingerprint=fingerprint, candidates=len(candidates)
     ):
-        for fmt, backend, n_shards, mode in candidates:
+        for fmt, backend, n_shards in candidates:
             record = {
                 "format": fmt, "backend": backend, "n_shards": n_shards,
-                "mode": mode,
             }
             reason = meta["skipped"].get(fmt)
             if reason is not None:  # pragma: no cover - defensive
@@ -581,10 +535,9 @@ def tune(
                 with trace(
                     "tuner.measure",
                     format=fmt, backend=backend, n_shards=n_shards,
-                    mode=mode,
                 ):
                     seconds = _measure(
-                        matrix, fmt, backend, n_shards, mode, x, out,
+                        matrix, fmt, backend, n_shards, x, out,
                         warmup=warmup, repeats=repeats,
                     )
             except FormatNotApplicableError as exc:
@@ -597,7 +550,6 @@ def tune(
                 _metrics.METRICS.observe(
                     "tuner.measure.seconds", seconds,
                     format=fmt, backend=backend, n_shards=n_shards,
-                    mode=mode,
                 )
             if best is None or seconds < best["seconds"]:
                 best = record
@@ -615,7 +567,6 @@ def tune(
         format=best["format"],
         backend=best["backend"],
         n_shards=best["n_shards"],
-        mode=best["mode"],
         seconds=best["seconds"],
         model_kernel=meta["model_kernel"],
         candidates=rows,

@@ -170,55 +170,3 @@ def test_direct_plan_differential(case, fmt, backend):
     else:
         np.testing.assert_allclose(out_v, ref_v, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out_m, ref_m, rtol=1e-12, atol=1e-14)
-
-
-# ----------------------------------------------------------------------
-# Process mode: same bitwise contract through worker processes
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_process_mode_bit_identical(case):
-    """``mode="process"`` must be invisible in the numbers: shared-
-    memory fan-out across worker processes reproduces the canonical
-    reduction bit for bit at every shard count, for spmv and spmm."""
-    matrix = case_matrix(case)
-    x, X, _, _ = case_inputs(case)
-    ref_v, ref_m = reference(case, matrix.spmv_plan().backend)
-    for n_shards in SHARD_COUNTS:
-        with ShardedExecutor(matrix, n_shards, mode="process") as ex:
-            out_v = ex.spmv(x)
-            out_m = ex.spmm(X)
-            # Round-trip again on the warm pool: steady state too.
-            out_v2 = ex.spmv(x)
-        label = f"{case} with {n_shards} process shards"
-        assert np.array_equal(out_v, ref_v), f"spmv diverged: {label}"
-        assert np.array_equal(out_m, ref_m), f"spmm diverged: {label}"
-        assert np.array_equal(out_v2, ref_v), f"warm spmv: {label}"
-
-
-def test_process_mode_worker_kill_degrades_bitwise():
-    """Chaos cell: SIGKILL a live worker between calls.  The next call
-    must detect the dead worker, recompute its shard in-process
-    (degrade-to-serial), respawn the worker — and stay bitwise."""
-    import os
-    import signal
-
-    case = "rmat"
-    matrix = case_matrix(case)
-    x, X, _, _ = case_inputs(case)
-    ref_v, ref_m = reference(case, matrix.spmv_plan().backend)
-    with ShardedExecutor(matrix, 4, mode="process") as ex:
-        assert np.array_equal(ex.spmv(x), ref_v)
-        pids = ex.worker_pids
-        if not pids:  # single active shard: nothing to kill
-            pytest.skip("partition collapsed to one shard")
-        victim = sorted(pids)[0]
-        os.kill(pids[victim], signal.SIGKILL)
-        out_v = ex.spmv(x)
-        assert np.array_equal(out_v, ref_v)
-        assert ex.resilience_stats.get("worker_deaths", 0) >= 1
-        assert ex.worker_respawns >= 1
-        # The respawned worker serves subsequent calls — still bitwise.
-        assert np.array_equal(ex.spmm(X), ref_m)
-        assert ex.worker_pids[victim] != pids[victim]

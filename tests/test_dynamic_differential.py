@@ -6,7 +6,7 @@ and SpMM results **bit-identical** to rebuilding the same format from
 scratch at the same logical version.  This suite proves it
 differentially against an independent dict-of-edges reference
 implementation of the update semantics, across every registered format,
-every execution backend, sharded executors in both fan-out modes, and
+every execution backend, sharded executors at several shard counts, and
 hypothesis-driven random operation streams (which shrink to minimal
 failing streams on regression).
 
@@ -133,16 +133,15 @@ def test_updates_bitwise_equal_full_rebuild(fmt, backend):
     )
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
 @pytest.mark.parametrize("n_shards", [1, 3])
 @pytest.mark.parametrize("fmt", SHARDED_FORMATS)
-def test_sharded_executor_tracks_updates(fmt, n_shards, mode):
+def test_sharded_executor_tracks_updates(fmt, n_shards):
     base_coo = random_coo(n_rows=32, n_cols=32, nnz=160, seed=17)
     dyn = DynamicMatrix(build(fmt, base_coo))
     stream = seeded_update_stream(dyn, 48, seed=9)
     batches = split_batches(stream, 2)
     x = np.random.default_rng(1).random(dyn.n_cols)
-    with ShardedExecutor(dyn, n_shards, mode=mode) as ex:
+    with ShardedExecutor(dyn, n_shards) as ex:
         before = ex.spmv(x)
         assert np.array_equal(
             before, build_plan(dyn.to_coo(), backend=ex.backend).execute(x)

@@ -68,11 +68,11 @@ def graph():
 
 
 def test_repeat_runs_reuse_operator_kernel_and_executor(graph):
-    first = pagerank(graph, n_shards=2, shard_mode="thread")
+    first = pagerank(graph, n_shards=2)
     cached = entry(graph)
     operator, executor = cached.operator, cached.sharded
     (kernel,) = cached.kernels.values()
-    second = pagerank(graph, n_shards=2, shard_mode="thread")
+    second = pagerank(graph, n_shards=2)
     assert cached.operator is operator
     assert list(cached.kernels.values()) == [kernel]
     assert cached.sharded is executor
@@ -163,11 +163,11 @@ def test_concurrent_runs_on_a_shared_adjacency_are_bitwise(
 
 def test_dynamic_update_rebuilds_and_closes_the_old_executor(graph):
     dyn = DynamicMatrix(fresh(graph))
-    pagerank(dyn, n_shards=2, shard_mode="thread")
+    pagerank(dyn, n_shards=2)
     old = entry(dyn).sharded
     old_operator = entry(dyn).operator
     dyn.apply_updates(seeded_update_stream(dyn, 64, seed=3))
-    warm = pagerank(dyn, n_shards=2, shard_mode="thread")
+    warm = pagerank(dyn, n_shards=2)
     assert entry(dyn).operator is not old_operator
     assert entry(dyn).version == dyn.data_version
     with pytest.raises(ExecutorClosedError):
@@ -181,7 +181,6 @@ def test_dynamic_update_rebuilds_and_closes_the_old_executor(graph):
 
 def test_shard_env_change_replaces_the_executor(graph, monkeypatch):
     monkeypatch.setenv("REPRO_SPMV_SHARDS", "1")
-    monkeypatch.delenv("REPRO_SPMV_MODE", raising=False)
     one = pagerank(graph)
     old = entry(graph).sharded
     monkeypatch.setenv("REPRO_SPMV_SHARDS", "3")
@@ -198,7 +197,6 @@ def test_auto_and_backend_resolve_per_run(graph, monkeypatch):
     import repro.exec.sharded as sharded
 
     monkeypatch.delenv("REPRO_SPMV_SHARDS", raising=False)
-    monkeypatch.delenv("REPRO_SPMV_MODE", raising=False)
     # Small enough shards that "auto" follows the affinity mask here.
     monkeypatch.setattr(sharded, "AUTO_MIN_NNZ_PER_SHARD", 1000)
     monkeypatch.setattr(sharded, "available_cpu_count", lambda: 1)
@@ -271,7 +269,7 @@ def test_failed_run_drops_the_entry(graph):
 def test_cache_dies_with_the_adjacency(graph):
     before = set(threading.enumerate())
     adjacency = fresh(graph)
-    pagerank(adjacency, n_shards=2, shard_mode="thread")
+    pagerank(adjacency, n_shards=2)
     workers = [
         t for t in threading.enumerate()
         if t not in before and t.name.startswith("repro-shard")

@@ -10,11 +10,13 @@ The contracts under test:
   wrong answers are the one forbidden outcome.
 * **Disarmed ⇒ free.**  With ``REPRO_FAULTS`` off the engine keeps the
   zero-allocation steady state of PR 1/PR 3.
+* **One path.**  Armed or not, every call runs the same shard task, so
+  the armed steady state allocates nothing either.
 """
 
 import gc
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -423,6 +425,74 @@ class TestDisarmedSteadyState:
                 engine.spmv(x, out=y)
             assert [s.pool.allocations for s in engine.shards] == warm
             assert engine.resilience_stats == {}
+
+
+class TestOneDispatchPath:
+    """Armed and disarmed calls run the same fan-out: the chaos suite
+    certifies the path that serves real calls."""
+
+    def test_armed_sharded_path_keeps_pools_flat(self):
+        """The disarmed zero-allocation contract, with faults armed: no
+        fresh buffer per attempt, only the warm pooled ones."""
+        import tracemalloc
+
+        from repro.mining.pagerank import pagerank_operator
+
+        operator = pagerank_operator(
+            rmat_graph(8192, 65536, seed=13).to_coo()
+        )
+        x = np.ones(operator.n_cols)
+        y = np.empty(operator.n_rows)
+        X = np.asfortranarray(np.ones((operator.n_cols, 4)))
+        Y = np.empty((operator.n_rows, 4))
+        with chaos():  # armed, no specs: nothing fires
+            with ShardedExecutor(operator, 3) as engine:
+                engine.spmv(x, out=y)  # warm-up grows the pooled buffers
+                engine.spmm(X, out=Y)
+                warm = [s.pool.allocations for s in engine.shards]
+                warm_ws = engine._workspace.allocations
+                assert all(
+                    n > 0 for s, n in zip(engine.shards, warm)
+                    if not s.contiguous
+                )
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    for _ in range(5):
+                        engine.spmv(x, out=y)
+                        engine.spmm(X, out=Y)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert [s.pool.allocations for s in engine.shards] == warm
+                assert engine._workspace.allocations == warm_ws
+                assert engine.resilience_stats == {}
+        # A fresh buffer per attempt costs a shard's rows at least: ~22 KB
+        # per spmv and ~87 KB per spmm here.  The pooled path allocates
+        # only small per-call bookkeeping, well under half of ``y``.
+        assert peak < operator.n_rows * 8 // 2
+
+    @pytest.mark.parametrize("armed", [False, True])
+    def test_one_shard_task_serves_every_shard(self, armed, disarmed):
+        _, operator = graph_and_operator()
+        x = np.ones(operator.n_cols)
+        reference = operator.spmv(x)
+        seen = []
+        with chaos() if armed else nullcontext():
+            with ShardedExecutor(operator, 3) as engine:
+                task = engine._shard_task
+
+                def spy(shard, *args, _task=task):
+                    seen.append(shard.index)
+                    return _task(shard, *args)
+
+                engine._shard_task = spy
+                for _ in range(2):
+                    assert np.array_equal(engine.spmv(x), reference)
+                engine.spmm(np.ones((operator.n_cols, 2)))
+                active = [s.index for s in engine._active]
+        assert len(active) == 3
+        assert sorted(seen) == sorted(active * 3)
 
 
 # ----------------------------------------------------------------------

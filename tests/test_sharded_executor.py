@@ -21,6 +21,7 @@ from repro.exec import (
     ShardedExecutor,
     auto_shard_count,
     available_backends,
+    available_cpu_count,
     build_plan,
     env_shard_count,
 )
@@ -166,10 +167,7 @@ def test_pool_persists_and_steady_state_allocates_nothing():
     y = np.empty(matrix.n_rows)
     X = np.ones((matrix.n_cols, 2))
     Y = np.empty((matrix.n_rows, 2))
-    # The thread pool is the object under test here, so pin the mode —
-    # under REPRO_SPMV_MODE=process the executor builds a ProcessShardPool
-    # instead (covered by tests/test_procpool.py).
-    with ShardedExecutor(matrix, 4, mode="thread") as ex:
+    with ShardedExecutor(matrix, 4) as ex:
         pool = ex._pool
         assert pool is not None  # spun up once, at construction
         ex.spmv(x, out=y)  # warm-up grows the shard scratch buffers
@@ -225,6 +223,24 @@ def test_auto_policy_on_small_matrix_is_dispatch_free(monkeypatch):
     with ShardedExecutor(random_coo(seed=57), "auto") as ex:
         assert ex.n_shards == 1
         assert ex._pool is None
+
+
+class TestAutoPolicy:
+    """The auto policy clamps to the affinity mask; the explicit
+    ``REPRO_SPMV_SHARDS`` override does not."""
+
+    def test_auto_clamps_to_affinity_mask(self):
+        nnz = AUTO_MIN_NNZ_PER_SHARD * 64
+        assert auto_shard_count(nnz) == available_cpu_count()
+        assert auto_shard_count(nnz, workers=3) == 3
+
+    def test_small_matrices_stay_single_shard(self):
+        assert auto_shard_count(AUTO_MIN_NNZ_PER_SHARD - 1, workers=8) == 1
+
+    def test_env_override_is_not_clamped(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMV_SHARDS", "4")
+        with ShardedExecutor(random_coo(seed=58), "auto") as ex:
+            assert ex.n_shards == 4
 
 
 def test_env_shard_count_parsing(monkeypatch):
@@ -587,16 +603,7 @@ def test_hammer_close_while_querying_thread_mode():
     state.  ``close()`` now drains via ``_call_lock``.
     """
     _hammer_close_while_querying(
-        lambda m: ShardedExecutor(m, 4, mode="thread"), rounds=8
-    )
-
-
-def test_hammer_close_while_querying_process_mode():
-    """Same race against the shared-memory process pool: ``close()``
-    unlinking the x/out segments under an active round must never
-    produce a torn ``out`` or a worker crash."""
-    _hammer_close_while_querying(
-        lambda m: ShardedExecutor(m, 2, mode="process"), rounds=2
+        lambda m: ShardedExecutor(m, 4), rounds=8
     )
 
 
@@ -608,15 +615,3 @@ def test_close_is_idempotent_and_reentrant_after_drain():
     ex.close()  # double close is a no-op
     with pytest.raises(ExecutorClosedError):
         ex.spmm(np.ones((matrix.n_cols, 2)))
-
-
-def test_closed_process_pool_raises_dedicated_error():
-    from repro.exec.procpool import ProcessShardPool
-
-    matrix = random_coo(seed=75)
-    ex = ShardedExecutor(matrix, 2, mode="process")
-    pool = ex._procpool
-    assert isinstance(pool, ProcessShardPool)
-    ex.close()
-    with pytest.raises(ExecutorClosedError):
-        pool.spmv(np.ones(matrix.n_cols), np.empty(matrix.n_rows), None)

@@ -115,7 +115,6 @@ class TestFingerprint:
         assert key == json.loads(json.dumps(key))
         assert key["cpu_count"] >= 1
         assert 1 <= key["cpu_affinity"] <= key["cpu_count"]
-        assert key["shard_modes"] == ["thread", "process"]
         assert "numpy" in key
         # numba/llvmlite keys exist even when the JIT stack is absent,
         # so installing it later invalidates the cache.
@@ -157,7 +156,7 @@ class TestCachePath:
 class TestCandidateGrid:
     def test_model_seeded_grid_keeps_csr_baseline(self, matrix):
         candidates, meta = candidate_grid(matrix)
-        formats = {fmt for fmt, _b, _s, _m in candidates}
+        formats = {fmt for fmt, _b, _s in candidates}
         assert "csr" in formats
         assert meta["model_kernel"] in (
             "csr-vector", "ell", "tile-composite"
@@ -165,7 +164,7 @@ class TestCandidateGrid:
 
     def test_pinned_formats_bypass_model(self, matrix):
         candidates, meta = candidate_grid(matrix, formats=("coo",))
-        assert {fmt for fmt, _b, _s, _m in candidates} == {"coo"}
+        assert {fmt for fmt, _b, _s in candidates} == {"coo"}
         assert meta["model_kernel"] is None
 
     def test_rejects_unknown_format(self, matrix):
@@ -176,31 +175,6 @@ class TestCandidateGrid:
         with pytest.raises(ValidationError):
             candidate_grid(matrix, shard_counts=(0,))
 
-    def test_single_shard_cells_are_thread_mode(self, matrix):
-        candidates, _meta = candidate_grid(matrix, modes=("process",))
-        assert all(
-            mode == "thread"
-            for _f, _b, n_shards, mode in candidates
-            if n_shards == 1
-        )
-
-    def test_default_modes_match_affinity(self, matrix):
-        from repro.exec.sharded import available_cpu_count
-
-        # Pin a multi-shard count: the fixture is too small for the
-        # auto policy to produce multi-shard cells on its own.
-        candidates, _meta = candidate_grid(matrix, shard_counts=(1, 2))
-        modes = {
-            mode for _f, _b, n_shards, mode in candidates if n_shards > 1
-        }
-        if available_cpu_count() > 1:
-            assert modes == {"thread", "process"}
-        else:
-            assert modes == {"thread"}
-
-    def test_rejects_unknown_mode(self, matrix):
-        with pytest.raises(ValidationError):
-            candidate_grid(matrix, modes=("fiber",))
 
 
 # ----------------------------------------------------------------------
@@ -341,22 +315,6 @@ class TestDecisionSerialisation:
             TuningDecision.from_dict({
                 "fingerprint": "x", "format": "csr",
                 "backend": "numpy", "n_shards": 0, "seconds": 1.0,
-            })
-
-    def test_mode_defaults_to_thread_for_old_caches(self):
-        decision = TuningDecision.from_dict({
-            "fingerprint": "x", "format": "csr",
-            "backend": "numpy", "n_shards": 2, "seconds": 1.0,
-        })
-        assert decision.mode == "thread"
-        assert decision.to_dict()["mode"] == "thread"
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            TuningDecision.from_dict({
-                "fingerprint": "x", "format": "csr",
-                "backend": "numpy", "n_shards": 2, "seconds": 1.0,
-                "mode": "fiber",
             })
 
 
