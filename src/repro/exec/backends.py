@@ -86,6 +86,13 @@ class ScipyCSRPlan(SpMVPlan):
     matches the seed implementation's ``np.bincount`` reduction exactly.
     Older/stripped SciPy builds without the private module fall back to
     the public ``csr_array @`` operator (one O(n_rows) temporary).
+
+    The plan copies no O(nnz) array.  A
+    :class:`~repro.formats.csr.CSRMatrix` is adopted as it is, so a plan
+    on a row-range view (the sharded executor's shards) shares the
+    view's memory.  Any other format's canonical row-sorted COO already
+    holds CSR's ``indices`` and ``data`` in order, so the plan shares
+    them and builds only ``indptr``.
     """
 
     backend = "scipy"
@@ -97,7 +104,7 @@ class ScipyCSRPlan(SpMVPlan):
         csr = (
             matrix
             if isinstance(matrix, CSRMatrix)
-            else CSRMatrix.from_coo(matrix.to_coo())
+            else CSRMatrix._from_coo_shared(matrix.to_coo())
         )
         self.indptr = csr.indptr
         self.indices = csr.indices

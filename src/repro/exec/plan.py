@@ -26,6 +26,7 @@ numerical path.
 from __future__ import annotations
 
 import abc
+import threading
 import time
 from dataclasses import dataclass
 
@@ -158,16 +159,21 @@ class _SegmentReduction:
         return cls(starts, rows[starts], n_rows)
 
     def apply(
-        self, products: np.ndarray, out: np.ndarray, pool: WorkspacePool
+        self,
+        products: np.ndarray,
+        out: np.ndarray,
+        pool: WorkspacePool,
+        tag: str = "",
     ) -> None:
-        """``out[r] = sum of products in row r`` (zero for empty rows)."""
+        """``out[r] = sum of products in row r`` (zero for empty rows);
+        ``tag`` suffixes the scratch name (see ``_GatherReducePlan``)."""
         if self.seg_starts.size == 0:
             out.fill(0.0)
             return
         if self.direct:
             np.add.reduceat(products, self.seg_starts, out=out)
             return
-        partial = pool.buffer("seg:partial", self.seg_starts.size)
+        partial = pool.buffer("seg:partial" + tag, self.seg_starts.size)
         np.add.reduceat(products, self.seg_starts, out=partial)
         out.fill(0.0)
         out[self.target_rows] = partial
@@ -302,7 +308,10 @@ class SpMVPlan(abc.ABC):
                 f"SpMM input has {X.shape[0]} rows, expected {self.n_cols}"
             )
         if not (X.dtype == np.float64 and X.flags.c_contiguous):
-            staged = self.pool.buffer("spmm:rhs", X.shape)
+            # Keyed per thread: a cached plan serves concurrent callers.
+            staged = self.pool.buffer(
+                f"spmm:rhs:{threading.get_ident()}", X.shape
+            )
             np.copyto(staged, X)
             X = staged
         if X.size and not all_finite(X):
@@ -353,6 +362,15 @@ class _GatherReducePlan(SpMVPlan):
     entry, in storage order), ``values`` (the matching data array), a
     ``segments`` reduction, and optionally ``perm`` — a permutation
     applied to the products before reduction (CSC's row-sort).
+
+    A matrix hands its one cached plan to every thread that calls
+    ``spmv``, so the O(nnz) scratch of a call must not be shared with a
+    concurrent one.  An execution claims the plan's shared buffers when
+    they are free (a non-blocking try-lock: the single-stream case, and
+    every sharded-executor shard, since the executor serialises its
+    calls); a call that finds them taken uses buffers keyed by its
+    thread, as :class:`~repro.graphs.dynamic.OverlayPlan` does.  Either
+    way each thread's steady state allocates nothing.
     """
 
     gather_cols: np.ndarray
@@ -360,26 +378,48 @@ class _GatherReducePlan(SpMVPlan):
     segments: _SegmentReduction
     perm: np.ndarray | None = None
 
+    def __init__(self, shape: tuple[int, int]) -> None:
+        super().__init__(shape)
+        self._shared_scratch = threading.Lock()
+
     @property
     def plan_nnz(self) -> int:
         return self.values.size
 
-    def _reduce(self, products: np.ndarray, out: np.ndarray) -> None:
+    def _claim_scratch(self) -> str:
+        """Scratch-name suffix of one execution: ``""`` for the shared
+        buffers (now held; :meth:`_release_scratch` frees them), else the
+        calling thread's own."""
+        if self._shared_scratch.acquire(blocking=False):
+            return ""
+        return f":{threading.get_ident()}"
+
+    def _release_scratch(self, tag: str) -> None:
+        if not tag:
+            self._shared_scratch.release()
+
+    def _reduce(
+        self, products: np.ndarray, out: np.ndarray, tag: str
+    ) -> None:
         if self.perm is not None:
-            permuted = self.pool.buffer("perm:prod", products.size)
+            permuted = self.pool.buffer("perm:prod" + tag, products.size)
             np.take(products, self.perm, out=permuted, mode="clip")
             products = permuted
-        self.segments.apply(products, out, self.pool)
+        self.segments.apply(products, out, self.pool, tag)
 
     def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
         nnz = self.plan_nnz
         if nnz == 0:
             out.fill(0.0)
             return
-        prod = self.pool.buffer("prod", nnz)
-        np.take(x, self.gather_cols, out=prod, mode="clip")
-        np.multiply(prod, self.values, out=prod)
-        self._reduce(prod, out)
+        tag = self._claim_scratch()
+        try:
+            prod = self.pool.buffer("prod" + tag, nnz)
+            np.take(x, self.gather_cols, out=prod, mode="clip")
+            np.multiply(prod, self.values, out=prod)
+            self._reduce(prod, out, tag)
+        finally:
+            self._release_scratch(tag)
 
     def _execute_many(self, X: np.ndarray, out: np.ndarray) -> None:
         nnz = self.plan_nnz
@@ -387,20 +427,25 @@ class _GatherReducePlan(SpMVPlan):
             out.fill(0.0)
             return
         k = X.shape[1]
-        # One transposed copy makes every right-hand side a contiguous
-        # row; each column then runs the exact gather/multiply/reduce
-        # sequence of ``_execute``, so the result columns are
-        # bit-identical to column-wise spmv calls while the validation
-        # and pool lookups are paid once per batch.
-        XT = self.pool.buffer("spmm:xt", (k, self.n_cols))
-        np.copyto(XT, X.T)
-        prod = self.pool.buffer("prod", nnz)
-        ycol = self.pool.buffer("spmm:y", self.n_rows)
-        for j in range(k):
-            np.take(XT[j], self.gather_cols, out=prod, mode="clip")
-            np.multiply(prod, self.values, out=prod)
-            self._reduce(prod, ycol)
-            out[:, j] = ycol
+        tag = self._claim_scratch()
+        try:
+            # One transposed copy makes every right-hand side a
+            # contiguous row; each column then runs the exact
+            # gather/multiply/reduce sequence of ``_execute``, so the
+            # result columns are bit-identical to column-wise spmv calls
+            # while the validation and pool lookups are paid once per
+            # batch.
+            XT = self.pool.buffer("spmm:xt" + tag, (k, self.n_cols))
+            np.copyto(XT, X.T)
+            prod = self.pool.buffer("prod" + tag, nnz)
+            ycol = self.pool.buffer("spmm:y" + tag, self.n_rows)
+            for j in range(k):
+                np.take(XT[j], self.gather_cols, out=prod, mode="clip")
+                np.multiply(prod, self.values, out=prod)
+                self._reduce(prod, ycol, tag)
+                out[:, j] = ycol
+        finally:
+            self._release_scratch(tag)
 
 
 class CSRPlan(_GatherReducePlan):
@@ -541,20 +586,24 @@ class MPCSRPlan(_GatherReducePlan):
             sel = np.nonzero(depth == d)[0]
             self.levels.append((sel, piece_rows[sel]))
 
-    def _reduce(self, products: np.ndarray, out: np.ndarray) -> None:
+    def _reduce(
+        self, products: np.ndarray, out: np.ndarray, tag: str
+    ) -> None:
         if self.piece_starts is None:
-            self.segments.apply(products, out, self.pool)
+            self.segments.apply(products, out, self.pool, tag)
             return
-        partial = self.pool.buffer("mp:partial", self.piece_starts.size)
+        partial = self.pool.buffer(
+            "mp:partial" + tag, self.piece_starts.size
+        )
         np.add.reduceat(products, self.piece_starts, out=partial)
         out.fill(0.0)
         for d, (idx, rows) in enumerate(self.levels):
-            buf = self.pool.buffer(f"mp:take{d}", idx.size)
+            buf = self.pool.buffer(f"mp:take{d}{tag}", idx.size)
             np.take(partial, idx, out=buf)
             if d == 0:
                 out[rows] = buf
             else:
-                cur = self.pool.buffer(f"mp:cur{d}", rows.size)
+                cur = self.pool.buffer(f"mp:cur{d}{tag}", rows.size)
                 np.take(out, rows, out=cur)
                 np.add(cur, buf, out=cur)
                 out[rows] = cur

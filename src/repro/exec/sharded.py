@@ -1,33 +1,40 @@
 """Sharded parallel SpMV executor (paper §3.2 brought onto the host).
 
-The multi-GPU design — bitonic row partitioning, per-node local SpMV,
-allgather — runs here as *real* parallel work: the matrix's rows are
-dealt into nnz-balanced shards with
-:func:`~repro.multigpu.bitonic.bitonic_partition`, each shard is a
-row-slice sub-matrix with its own cached
-:class:`~repro.exec.plan.SpMVPlan` (built through the normal backend
-registry), and every ``spmv``/``spmm`` call fans the shards out over a
-**persistent** :class:`~concurrent.futures.ThreadPoolExecutor` — workers
-live for the executor's lifetime, no per-call pool spin-up.  The SciPy
-backend's compiled matvec, numpy's ufunc loops and the native backend's
-``nogil`` kernels all release the GIL, so shards genuinely overlap on
-multi-core hosts.
+The multi-GPU design — row partitioning, per-node local SpMV,
+allgather — runs here as *real* parallel work.  The executor compiles
+one CSR of the matrix, and each shard is a row range ``[lo, hi)`` of
+it: a :class:`~repro.formats.csr.CSRMatrix` view (``indptr`` rebased,
+``indices``/``data`` sliced, nothing copied) with its own
+:class:`~repro.exec.plan.SpMVPlan` built through the normal backend
+registry.  Every ``spmv``/``spmm`` call fans the shards out over a
+**persistent** :class:`~concurrent.futures.ThreadPoolExecutor` —
+workers live for the executor's lifetime, no per-call pool spin-up.
+The SciPy backend's compiled matvec, numpy's ufunc loops and the native
+backend's ``nogil`` kernels all release the GIL, so shards genuinely
+overlap on multi-core hosts.
 
-Each shard writes its own rows straight into the caller's ``out``
-buffer: a contiguous shard gets a zero-copy view, a bitonic
-(interleaved) shard computes into a pooled local buffer and scatters to
-its row set — the in-process analogue of the paper's allgather, with the
-shared buffer standing in for the broadcast.  Because row partitioning
-never splits a row's reduction, and every shard executes the same
-canonical row-slice reduction (ascending column order per row, exactly
-the sorted-COO/CSR order), the result is **bit-identical** to the
-single-shard path for every shard count.
+The executor's own partition cuts the CSR into contiguous ranges of
+near-equal non-zero count
+(:func:`~repro.multigpu.bitonic.balanced_partition`), so the CSR
+adopts the canonical COO's ``indices``/``data`` as they are and every
+shard writes its rows straight into a zero-copy view of the caller's
+``out``.  An explicit ``assignment=`` — the multi-GPU simulator's §3.2
+serpentine deal, say — takes the same build: rows are permuted once
+into shard order, ascending within each shard, and shards are ranges of
+that one permuted CSR.  A shard whose rows are not one range computes
+into a pooled local buffer and scatters to its row set — the
+in-process analogue of the paper's allgather.  Because row
+partitioning never splits a row's reduction, and every shard executes
+the same canonical row reduction (ascending column order per row,
+exactly the sorted-COO/CSR order), the result is **bit-identical** to
+the single-shard path for every shard count and partition.
 
 Yang et al.'s serpentine deal (§3.2) and the load-balancing analysis of
 Yang, Buluç & Owens (arXiv:1803.08601) both argue that shard *balance*,
-not shard count, decides throughput; ``bitonic_partition`` is therefore
-the default scheduler, and :attr:`ShardedExecutor.last_shard_seconds`
-exposes measured per-shard wall time so the claim is checkable.
+not shard count, decides throughput; the default ranges and the
+serpentine deal both balance non-zeros, and
+:attr:`ShardedExecutor.last_shard_seconds` exposes measured per-shard
+wall time so the claim is checkable.
 
 There is one dispatch path.  Every call, with fault injection armed or
 not, runs the same shard task: the caller's thread takes the first
@@ -58,6 +65,8 @@ from repro.exec.backends import _resolve, build_plan
 from repro.exec.plan import check_out_buffer
 from repro.exec.workspace import WorkspacePool
 from repro.formats.base import all_finite, check_vector
+from repro.formats.csr import CSRMatrix
+from repro.formats.radix import stable_argsort
 from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 from repro.resilience.recovery import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -75,9 +84,8 @@ __all__ = [
 AUTO_MIN_NNZ_PER_SHARD = 200_000
 
 #: Format the ``n_shards="tuned"`` grid is pinned to (shard execution
-#: is format-agnostic: every shard runs a canonical COO row slice).
+#: is format-agnostic: every shard runs a canonical CSR row range).
 BASELINE_TUNE_FORMAT = "csr"
-
 
 def available_cpu_count() -> int:
     """Cores this process may actually run on.
@@ -136,7 +144,8 @@ def auto_shard_count(
 
 
 class _Shard:
-    """One row shard: its row set, cached plan, and scratch space."""
+    """One row shard: its row set, CSR row-range view, plan, and
+    scratch space."""
 
     __slots__ = ("index", "row_ids", "matrix", "plan", "pool", "start", "stop")
 
@@ -176,15 +185,14 @@ class ShardedExecutor:
         (:func:`repro.tuner.tune`) to *measure* the shard-count choice
         for this matrix and backend, resolving from the persistent
         tuning cache when a fresh decision exists.
-    partition:
-        ``"bitonic"`` (nnz-balanced serpentine deal, the default) or
-        ``"contiguous"`` (equal row blocks, zero-copy output views).
     backend:
         Execution backend for the per-shard plans (default: the
         registry default).
     assignment:
-        Pre-computed row→shard assignment (overrides ``partition``);
-        lets the multi-GPU simulator reuse its own partition exactly.
+        Pre-computed row→shard assignment; lets the multi-GPU simulator
+        reuse its own partition exactly.  By default the rows are cut
+        into contiguous ranges of near-equal non-zero count (zero-copy
+        matrix and output views).
     timing:
         Record per-shard wall seconds (:attr:`last_shard_seconds`).
     retry:
@@ -201,7 +209,6 @@ class ShardedExecutor:
         matrix,
         n_shards: int | str | None = None,
         *,
-        partition: str = "bitonic",
         backend: str | None = None,
         assignment: np.ndarray | None = None,
         timing: bool = True,
@@ -222,14 +229,10 @@ class ShardedExecutor:
         # under the lock and fails loudly.
         self._call_lock = threading.Lock()
 
-        from repro.multigpu.bitonic import (
-            bitonic_partition,
-            contiguous_partition,
-        )
+        from repro.multigpu.bitonic import balanced_partition
 
         self.shape = matrix.shape
         self.backend = _resolve(backend)
-        self.partition = partition
         self.timing = timing
         if retry is None:
             retry = DEFAULT_RETRY_POLICY
@@ -277,18 +280,24 @@ class ShardedExecutor:
                 assignment.min() < 0 or assignment.max() >= n_shards
             ):
                 raise ValidationError("assignment shard index out of range")
-        elif n_shards == 1 or self.n_rows == 0:
-            assignment = np.zeros(self.n_rows, dtype=np.int64)
-        elif partition == "bitonic":
-            assignment = bitonic_partition(matrix.row_lengths(), n_shards)
-        elif partition == "contiguous":
-            assignment = contiguous_partition(self.n_rows, n_shards)
         else:
-            raise ValidationError(
-                f"unknown partition scheme {partition!r}; "
-                "expected 'bitonic' or 'contiguous'"
-            )
+            assignment = balanced_partition(matrix.row_lengths(), n_shards)
         self.assignment = assignment
+        # Shard ``k`` is rows ``_rows[_bounds[k]:_bounds[k + 1]]``: a
+        # range of the row-ordered CSR.  Rows are permuted into shard
+        # order (stably, so ascending within a shard) only when the
+        # assignment is not already sorted.
+        if (np.diff(assignment) < 0).any():
+            self._order = stable_argsort(assignment, n_shards)
+            self._rows = self._order
+        else:
+            self._order = None
+            self._rows = np.arange(self.n_rows, dtype=np.int64)
+        self._bounds = np.zeros(n_shards + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(assignment, minlength=n_shards),
+            out=self._bounds[1:],
+        )
         self._matrix = matrix
         self._build_shards()
         self._shard_seconds = np.zeros(n_shards)
@@ -303,11 +312,15 @@ class ShardedExecutor:
     def _build_shards(self) -> None:
         """(Re)build every shard from one consistent matrix snapshot.
 
-        Every shard executes the canonical row-sorted COO reduction
-        (ascending column order within each row), so the per-row sum
-        sequence is independent of the shard count — the bit-identity
-        invariant.  The single-shard case rides the snapshot's own
-        cached plan (free for COO operators).
+        One CSR of the snapshot, rows in shard order: ``indptr`` is the
+        cumulative row lengths and ``indices``/``data`` are the
+        canonical row-sorted COO's own arrays, adopted without a copy
+        (permuted once when the assignment is not sorted).  Each shard
+        is a row range of it with a plan from the normal backend; only
+        ``O(rows)`` is allocated per build.  Within every row the
+        entries stay in ascending column order, so the per-row sum
+        sequence is independent of the partition — the bit-identity
+        invariant.
 
         ``data_version`` is the mutation watermark: dynamic matrices
         bump it on every applied batch, and ``_run`` rebuilds here when
@@ -318,19 +331,22 @@ class ShardedExecutor:
         read.  The row→shard assignment is kept.
         """
         version = self._matrix.data_version
-        snapshot = self._matrix.coo_snapshot()
-        if self.n_shards == 1:
-            rows = np.arange(self.n_rows, dtype=np.int64)
-            shards = [
-                _Shard(0, rows, snapshot, snapshot.spmv_plan(self.backend))
-            ]
-        else:
-            shards = []
-            for index in range(self.n_shards):
-                row_ids = np.nonzero(self.assignment == index)[0]
-                part = snapshot.select_rows(row_ids)
-                plan = build_plan(part, backend=self.backend)
-                shards.append(_Shard(index, row_ids, part, plan))
+        csr = CSRMatrix._from_coo_shared(self._matrix.coo_snapshot())
+        if self._order is not None:
+            csr = csr.select_rows(self._order)
+        self._csr = csr
+        shards = []
+        for index in range(self.n_shards):
+            lo, hi = self._bounds[index], self._bounds[index + 1]
+            start, stop = csr.indptr[lo], csr.indptr[hi]
+            part = CSRMatrix._from_trusted_parts(
+                csr.indptr[lo : hi + 1] - start,
+                csr.indices[start:stop],
+                csr.data[start:stop],
+                (int(hi - lo), self.n_cols),
+            )
+            plan = build_plan(part, backend=self.backend)
+            shards.append(_Shard(index, self._rows[lo:hi], part, plan))
         self.shards = shards
         self._active = [s for s in shards if s.row_ids.size]
         self._data_version = version
@@ -662,6 +678,6 @@ class ShardedExecutor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedExecutor(shape={self.shape}, n_shards={self.n_shards}, "
-            f"partition={self.partition!r}, backend={self.backend!r}, "
+            f"backend={self.backend!r}, "
             f"executions={self.executions})"
         )

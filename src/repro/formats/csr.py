@@ -73,6 +73,17 @@ class CSRMatrix(SparseMatrix):
         return cls(indptr, coo.cols.copy(), coo.data.copy(), coo.shape)
 
     @classmethod
+    def _from_coo_shared(cls, coo: COOMatrix) -> "CSRMatrix":
+        """Internal: the CSR form of a canonical COO, sharing its
+        ``cols``/``data`` — only ``indptr`` is built, O(rows).
+
+        Same no-mutation contract as :meth:`_from_trusted_parts`.
+        """
+        indptr = np.zeros(coo.n_rows + 1, dtype=np.int64)
+        np.cumsum(coo.row_lengths(), out=indptr[1:])
+        return cls._from_trusted_parts(indptr, coo.cols, coo.data, coo.shape)
+
+    @classmethod
     def _from_trusted_parts(
         cls,
         indptr: np.ndarray,

@@ -16,7 +16,7 @@ from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.ell import ELLMatrix
 
-__all__ = ["HYBMatrix", "choose_ell_width"]
+__all__ = ["HYBMatrix", "choose_ell_width", "hyb_split"]
 
 #: Keep an ELL column while at least this fraction of rows use it
 #: (Bell & Garland use 1/3).
@@ -46,6 +46,26 @@ def choose_ell_width(
     return int(ks.max()) if ks.size else 0
 
 
+def hyb_split(
+    coo: COOMatrix, *, ell_width: int | None = None
+) -> tuple[int, np.ndarray]:
+    """The ELL width K of a HYB split and its head mask over ``coo``.
+
+    Entry ``i`` belongs to the ELL head when it is among the first K
+    entries of its row (``coo`` is row-sorted); the rest form the COO
+    tail.  K defaults to :func:`choose_ell_width` of the row lengths.
+    """
+    row_lengths = coo.row_lengths()
+    if ell_width is None:
+        ell_width = choose_ell_width(row_lengths)
+    # Row by row: min(length, K) head entries, then the rest.
+    counts = np.empty(2 * coo.n_rows, dtype=np.int64)
+    np.minimum(row_lengths, ell_width, out=counts[0::2])
+    np.subtract(row_lengths, counts[0::2], out=counts[1::2])
+    head = np.repeat(np.tile([True, False], coo.n_rows), counts)
+    return ell_width, head
+
+
 class HYBMatrix(SparseMatrix):
     """ELL + COO hybrid storage."""
 
@@ -65,13 +85,7 @@ class HYBMatrix(SparseMatrix):
         cls, coo: COOMatrix, *, ell_width: int | None = None
     ) -> "HYBMatrix":
         """Split a COO matrix into ELL head and COO tail."""
-        row_lengths = np.bincount(coo.rows, minlength=coo.n_rows)
-        if ell_width is None:
-            ell_width = choose_ell_width(row_lengths)
-        starts = np.zeros(coo.n_rows + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=starts[1:])
-        slot = np.arange(coo.nnz) - starts[coo.rows]
-        head = slot < ell_width
+        ell_width, head = hyb_split(coo, ell_width=ell_width)
         ell_part = COOMatrix(
             coo.rows[head], coo.cols[head], coo.data[head], coo.shape
         )

@@ -76,15 +76,18 @@ def create(
 class SpMVKernel(abc.ABC):
     """Base class of all SpMV kernels.
 
-    Subclasses build their storage format in ``__init__``, point
-    ``self.storage`` at it, and implement :meth:`_compute_cost`; the
-    numerical path (``spmv``/``spmm``) then runs through the storage
+    Subclasses build their storage format in ``__init__`` and point
+    ``self.storage`` at it (or define ``storage`` as a property that
+    builds it on first execution), and implement :meth:`_compute_cost`;
+    the numerical path (``spmv``/``spmm``) then runs through the storage
     format's cached execution plan.  Cost reports are memoised — the
     matrix is immutable once wrapped.
     """
 
     #: Registry name, set by the ``register`` decorator.
     name: str = "abstract"
+    #: The format the kernel executes on.
+    storage: SparseMatrix
 
     def __init__(
         self,
@@ -98,9 +101,6 @@ class SpMVKernel(abc.ABC):
             )
         self.device = device or DeviceSpec.tesla_c1060()
         self.coo = matrix if isinstance(matrix, COOMatrix) else matrix.to_coo()
-        #: The format the kernel executes on; subclasses repoint this at
-        #: their native storage after building it.
-        self.storage: SparseMatrix = self.coo
         self._cost: CostReport | None = None
 
     # ------------------------------------------------------------------

@@ -78,6 +78,7 @@ class COOKernel(SpMVKernel):
         self, matrix: SparseMatrix, *, device: DeviceSpec | None = None
     ) -> None:
         super().__init__(matrix, device=device)
+        self.storage = self.coo
 
     def _compute_cost(self) -> CostReport:
         device = self.device

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
-from repro.formats.hyb import HYBMatrix
+from repro.formats.hyb import HYBMatrix, hyb_split
 from repro.gpu.costs import CostReport
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, register
@@ -23,7 +24,16 @@ __all__ = ["HYBKernel"]
 
 @register("hyb")
 class HYBKernel(SpMVKernel):
-    """Bell & Garland's hybrid kernel."""
+    """Bell & Garland's hybrid kernel.
+
+    The cost model reads the split off ``self.coo`` through the same
+    :func:`~repro.formats.hyb.hyb_split` the format uses — the ELL
+    width, the head and tail non-zero and column counts, and the tail's
+    rows — so :meth:`cost` never builds the
+    :class:`~repro.formats.hyb.HYBMatrix`.  The split (:attr:`hyb`, the
+    kernel's :attr:`storage`) is built on first execution; a sharded
+    mining run, which only prices the kernel, never pays for it.
+    """
 
     def __init__(
         self,
@@ -33,36 +43,52 @@ class HYBKernel(SpMVKernel):
         ell_width: int | None = None,
     ) -> None:
         super().__init__(matrix, device=device)
-        self.hyb = HYBMatrix.from_coo(self.coo, ell_width=ell_width)
-        self.storage = self.hyb
+        if ell_width is not None and ell_width < 0:
+            raise ValidationError(f"ell_width must be >= 0, got {ell_width}")
+        self.ell_width = ell_width
+        self._hyb: HYBMatrix | None = None
+
+    @property
+    def hyb(self) -> HYBMatrix:
+        """The ELL/COO split, built on first use (a concurrent first use
+        may build it twice; both builds are identical)."""
+        if self._hyb is None:
+            self._hyb = HYBMatrix.from_coo(self.coo, ell_width=self.ell_width)
+        return self._hyb
+
+    @property
+    def storage(self) -> HYBMatrix:
+        return self.hyb
 
     def _compute_cost(self) -> CostReport:
         device = self.device
-        ell = self.hyb.ell
-        tail = self.hyb.coo
+        coo = self.coo
+        width, head = hyb_split(coo, ell_width=self.ell_width)
+        head_nnz = int(np.count_nonzero(head))
+        head_cols = np.bincount(coo.cols[head], minlength=coo.n_cols)
         reports = []
-        if ell.width > 0 and ell.n_rows > 0:
-            ell_cols = np.bincount(
-                ell.indices[ell.valid], minlength=self.coo.n_cols
-            ) if ell.nnz else np.zeros(self.coo.n_cols)
+        if width > 0 and coo.n_rows > 0:
             reports.append(
                 ell_cost_report(
                     "hyb-ell",
-                    n_rows=ell.n_rows,
-                    width=ell.width,
-                    nnz=ell.nnz,
-                    x_cost=untiled_x_cost(ell_cols, device),
+                    n_rows=coo.n_rows,
+                    width=width,
+                    nnz=head_nnz,
+                    x_cost=untiled_x_cost(head_cols, device),
                     device=device,
                 )
             )
-        if tail.nnz:
+        tail_nnz = coo.nnz - head_nnz
+        if tail_nnz:
             reports.append(
                 coo_cost_report(
                     "hyb-coo",
-                    rows=tail.rows,
-                    nnz=tail.nnz,
-                    n_rows=tail.n_rows,
-                    x_cost=untiled_x_cost(tail.col_lengths(), device),
+                    rows=coo.rows[~head],
+                    nnz=tail_nnz,
+                    n_rows=coo.n_rows,
+                    x_cost=untiled_x_cost(
+                        coo.col_lengths() - head_cols, device
+                    ),
                     device=device,
                 )
             )

@@ -19,6 +19,7 @@ from repro.errors import ValidationError
 
 __all__ = [
     "PartitionBalance",
+    "balanced_partition",
     "bitonic_partition",
     "contiguous_partition",
     "partition_balance",
@@ -82,6 +83,28 @@ def repartition_after_failure(
     moved = (old == failed_part) | (old_mapped != new_assignment)
     moved_nnz = int(lengths[moved].sum())
     return new_assignment, moved_nnz
+
+
+def balanced_partition(row_lengths: np.ndarray, n_parts: int) -> np.ndarray:
+    """Contiguous row ranges with near-equal non-zero counts.
+
+    Part ``k`` starts at the first row whose non-zero prefix reaches
+    ``k * nnz / n_parts`` (a ``searchsorted`` over the CSR ``indptr``),
+    so every part is one row range: a zero-copy slice of a CSR matrix
+    whose output rows are one contiguous slice of ``y``.  Balance is
+    within one row of even; a row longer than ``nnz / n_parts`` leaves
+    a neighbouring part empty rather than split.
+    """
+    lengths = np.asarray(row_lengths)
+    if n_parts < 1:
+        raise ValidationError("n_parts must be >= 1")
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    targets = np.arange(1, n_parts) * (indptr[-1] / n_parts)
+    cuts = np.concatenate(
+        [[0], np.searchsorted(indptr, targets), [lengths.size]]
+    )
+    return np.repeat(np.arange(n_parts), np.diff(cuts))
 
 
 def contiguous_partition(n_rows: int, n_parts: int) -> np.ndarray:

@@ -325,6 +325,23 @@ def test_scipy_backend_matches_numpy_backend():
     )
 
 
+@pytest.mark.skipif("scipy" not in BACKENDS, reason="scipy not installed")
+def test_scipy_plan_adopts_the_coo_arrays_bitwise():
+    from repro.exec.backends import ScipyCSRPlan
+
+    coo = random_coo(n_rows=300, n_cols=250, nnz=4000, seed=14)
+    adopted = ScipyCSRPlan(coo)
+    copied = ScipyCSRPlan(CSRMatrix.from_coo(coo))
+    assert np.shares_memory(adopted.indices, coo.cols)
+    assert np.shares_memory(adopted.data, coo.data)
+    assert np.array_equal(adopted.indptr, copied.indptr)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(coo.n_cols)
+    assert np.array_equal(adopted.execute(x), copied.execute(x))
+    X = np.asfortranarray(rng.standard_normal((coo.n_cols, 5)))
+    assert np.array_equal(adopted.execute_many(X), copied.execute_many(X))
+
+
 # ----------------------------------------------------------------------
 # check_vector fast path and cached length arrays
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.exec.sharded import ShardedExecutor
 from repro.graphs.rmat import rmat_graph
+from repro.multigpu.bitonic import bitonic_partition
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import METRICS, Metrics
 from repro.resilience import (
@@ -418,13 +419,23 @@ class TestDisarmedSteadyState:
         _, operator = graph_and_operator()
         x = np.ones(operator.n_cols)
         y = np.empty(operator.n_rows)
-        with ShardedExecutor(operator, 4) as engine:
-            engine.spmv(x, out=y)  # warm-up
-            warm = [s.pool.allocations for s in engine.shards]
-            for _ in range(5):
-                engine.spmv(x, out=y)
-            assert [s.pool.allocations for s in engine.shards] == warm
-            assert engine.resilience_stats == {}
+        # The default ranges write through views of ``y``; bitonic
+        # shards compute into pooled buffers and scatter.
+        bitonic = bitonic_partition(operator.row_lengths(), 4)
+        for assignment in (None, bitonic):
+            with ShardedExecutor(
+                operator, 4, assignment=assignment
+            ) as engine:
+                engine.spmv(x, out=y)  # warm-up
+                warm = [s.pool.allocations for s in engine.shards]
+                assert all(
+                    s.pool.allocations > 0
+                    for s in engine.shards if not s.contiguous
+                )
+                for _ in range(5):
+                    engine.spmv(x, out=y)
+                assert [s.pool.allocations for s in engine.shards] == warm
+                assert engine.resilience_stats == {}
 
 
 class TestOneDispatchPath:
@@ -445,32 +456,42 @@ class TestOneDispatchPath:
         y = np.empty(operator.n_rows)
         X = np.asfortranarray(np.ones((operator.n_cols, 4)))
         Y = np.empty((operator.n_rows, 4))
-        with chaos():  # armed, no specs: nothing fires
-            with ShardedExecutor(operator, 3) as engine:
-                engine.spmv(x, out=y)  # warm-up grows the pooled buffers
-                engine.spmm(X, out=Y)
-                warm = [s.pool.allocations for s in engine.shards]
-                warm_ws = engine._workspace.allocations
-                assert all(
-                    n > 0 for s, n in zip(engine.shards, warm)
-                    if not s.contiguous
-                )
-                tracemalloc.start()
-                try:
-                    base = tracemalloc.get_traced_memory()[0]
-                    for _ in range(5):
-                        engine.spmv(x, out=y)
-                        engine.spmm(X, out=Y)
-                    peak = tracemalloc.get_traced_memory()[1] - base
-                finally:
-                    tracemalloc.stop()
-                assert [s.pool.allocations for s in engine.shards] == warm
-                assert engine._workspace.allocations == warm_ws
-                assert engine.resilience_stats == {}
-        # A fresh buffer per attempt costs a shard's rows at least: ~22 KB
-        # per spmv and ~87 KB per spmm here.  The pooled path allocates
-        # only small per-call bookkeeping, well under half of ``y``.
-        assert peak < operator.n_rows * 8 // 2
+        # The default ranges write through views of ``y``; bitonic
+        # shards compute into pooled buffers and scatter.
+        bitonic = bitonic_partition(operator.row_lengths(), 3)
+        for assignment in (None, bitonic):
+            with chaos():  # armed, no specs: nothing fires
+                with ShardedExecutor(
+                    operator, 3, assignment=assignment
+                ) as engine:
+                    scattering = [
+                        s for s in engine.shards if not s.contiguous
+                    ]
+                    assert bool(scattering) == (assignment is not None)
+                    engine.spmv(x, out=y)  # warm-up grows the pooled buffers
+                    engine.spmm(X, out=Y)
+                    warm = [s.pool.allocations for s in engine.shards]
+                    warm_ws = engine._workspace.allocations
+                    assert all(s.pool.allocations > 0 for s in scattering)
+                    tracemalloc.start()
+                    try:
+                        base = tracemalloc.get_traced_memory()[0]
+                        for _ in range(5):
+                            engine.spmv(x, out=y)
+                            engine.spmm(X, out=Y)
+                        peak = tracemalloc.get_traced_memory()[1] - base
+                    finally:
+                        tracemalloc.stop()
+                    assert [
+                        s.pool.allocations for s in engine.shards
+                    ] == warm
+                    assert engine._workspace.allocations == warm_ws
+                    assert engine.resilience_stats == {}
+            # A fresh buffer per attempt costs a shard's rows at least:
+            # ~22 KB per spmv and ~87 KB per spmm here.  The pooled path
+            # allocates only small per-call bookkeeping, well under half
+            # of ``y``.
+            assert peak < operator.n_rows * 8 // 2
 
     @pytest.mark.parametrize("armed", [False, True])
     def test_one_shard_task_serves_every_shard(self, armed, disarmed):

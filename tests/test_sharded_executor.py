@@ -30,6 +30,7 @@ from repro.formats.coo import COOMatrix
 from repro.mining.hits import hits
 from repro.mining.pagerank import pagerank, pagerank_operator
 from repro.mining.rwr import random_walk_with_restart
+from repro.multigpu.bitonic import bitonic_partition, contiguous_partition
 from tests.test_exec_engine import build, random_coo
 
 # Live registry view — same source of truth as the exec/differential
@@ -37,6 +38,22 @@ from tests.test_exec_engine import build, random_coo
 ALL_FORMATS = sorted(FORMAT_BUILDERS)
 BACKENDS = available_backends()
 SHARD_COUNTS = [1, 2, 3, 7, 64]  # 64 > n_rows of the 40-row fixture
+
+
+def partition_options(matrix, scheme, n_shards):
+    """``ShardedExecutor`` options of a partition scheme: the executor's
+    own balanced row ranges, or an explicit ``assignment=`` whose shards
+    (bitonic, random) are ranges of a row-permuted CSR that scatter."""
+    if scheme == "balanced":
+        return {}
+    if scheme == "bitonic":
+        assignment = bitonic_partition(matrix.row_lengths(), n_shards)
+    elif scheme == "contiguous":
+        assignment = contiguous_partition(matrix.n_rows, n_shards)
+    else:
+        rng = np.random.default_rng(matrix.n_rows * 31 + n_shards)
+        assignment = rng.integers(0, n_shards, size=matrix.n_rows)
+    return {"assignment": assignment}
 
 
 # ----------------------------------------------------------------------
@@ -52,13 +69,18 @@ def test_sharded_spmv_bit_identical_across_shard_counts(fmt, backend):
     with ShardedExecutor(matrix, 1, backend=backend) as single:
         expected = single.spmv(x)
     for n_shards in SHARD_COUNTS[1:]:
-        with ShardedExecutor(matrix, n_shards, backend=backend) as ex:
-            out = np.full(matrix.n_rows, np.nan)
-            returned = ex.spmv(x, out=out)
-            assert returned is out
-            assert np.array_equal(out, expected), (
-                f"{fmt}/{backend} with {n_shards} shards diverged"
-            )
+        for scheme in ("balanced", "bitonic"):
+            options = partition_options(matrix, scheme, n_shards)
+            with ShardedExecutor(
+                matrix, n_shards, backend=backend, **options
+            ) as ex:
+                out = np.full(matrix.n_rows, np.nan)
+                returned = ex.spmv(x, out=out)
+                assert returned is out
+                assert np.array_equal(out, expected), (
+                    f"{fmt}/{backend} with {n_shards} {scheme} shards "
+                    "diverged"
+                )
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
@@ -69,10 +91,14 @@ def test_sharded_spmm_bit_identical_across_shard_counts(fmt, backend):
     with ShardedExecutor(matrix, 1, backend=backend) as single:
         expected = single.spmm(X)
     for n_shards in SHARD_COUNTS[1:]:
-        with ShardedExecutor(matrix, n_shards, backend=backend) as ex:
-            out = np.full((matrix.n_rows, 3), np.nan)
-            assert ex.spmm(X, out=out) is out
-            assert np.array_equal(out, expected)
+        for scheme in ("balanced", "bitonic"):
+            options = partition_options(matrix, scheme, n_shards)
+            with ShardedExecutor(
+                matrix, n_shards, backend=backend, **options
+            ) as ex:
+                out = np.full((matrix.n_rows, 3), np.nan)
+                assert ex.spmm(X, out=out) is out
+                assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
@@ -92,12 +118,13 @@ def test_sharded_matches_plain_plan_numerically(fmt, backend):
         assert np.array_equal(sharded, plain)
 
 
-@pytest.mark.parametrize("partition", ["bitonic", "contiguous"])
+@pytest.mark.parametrize("partition", ["balanced", "bitonic", "contiguous"])
 def test_partition_schemes_agree_bitwise(partition):
     matrix = random_coo(seed=46)
     x = np.random.default_rng(47).standard_normal(matrix.n_cols)
     expected = ShardedExecutor(matrix, 1).spmv(x)
-    with ShardedExecutor(matrix, 5, partition=partition) as ex:
+    options = partition_options(matrix, partition, 5)
+    with ShardedExecutor(matrix, 5, **options) as ex:
         assert np.array_equal(ex.spmv(x), expected)
 
 
@@ -116,11 +143,12 @@ def test_spmm_accepts_fortran_ordered_rhs():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("partition", ["bitonic", "contiguous"])
+@pytest.mark.parametrize("partition", ["balanced", "bitonic", "contiguous"])
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_shard_row_ids_exactly_tile_the_row_range(partition, n_shards):
     matrix = random_coo(seed=50)
-    with ShardedExecutor(matrix, n_shards, partition=partition) as ex:
+    options = partition_options(matrix, partition, n_shards)
+    with ShardedExecutor(matrix, n_shards, **options) as ex:
         row_ids = ex.shard_row_ids
         assert len(row_ids) == n_shards
         stacked = np.sort(np.concatenate(row_ids))
@@ -157,6 +185,124 @@ def test_empty_matrix_yields_zeros():
 
 
 # ----------------------------------------------------------------------
+# Zero-copy row ranges over one CSR
+# ----------------------------------------------------------------------
+
+
+def plan_arrays(plan):
+    """The index and value arrays a shard plan executes on."""
+    if hasattr(plan, "gather_cols"):  # numpy gather-reduce plans
+        return plan.gather_cols, plan.values
+    return plan.indices, plan.data
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_default_shards_are_views_of_the_executors_one_csr(backend):
+    matrix = random_coo(n_rows=90, n_cols=70, nnz=900, seed=80)
+    with ShardedExecutor(matrix, 4, backend=backend) as ex:
+        csr = ex._csr
+        # Adopted from the canonical COO, not copied.
+        assert np.shares_memory(csr.indices, matrix.cols)
+        assert np.shares_memory(csr.data, matrix.data)
+        for shard in ex.shards:
+            assert shard.contiguous
+            if shard.nnz == 0:
+                continue
+            indices, values = plan_arrays(shard.plan)
+            assert np.shares_memory(indices, csr.indices)
+            assert np.shares_memory(values, csr.data)
+
+
+def test_balanced_shards_split_the_nonzeros_evenly():
+    matrix = random_coo(n_rows=400, n_cols=400, nnz=8000, seed=81)
+    with ShardedExecutor(matrix, 4) as ex:
+        nnz = ex.shard_nnz
+        assert nnz.sum() == matrix.nnz
+        assert nnz.max() - nnz.min() <= 2 * matrix.row_lengths().max()
+
+
+def test_building_shards_allocates_per_row_not_per_nonzero():
+    import tracemalloc
+
+    from repro.graphs.rmat import rmat_graph
+
+    operator = pagerank_operator(rmat_graph(1 << 11, 600_000, seed=3))
+    assert operator.nnz > 100 * operator.n_rows
+    operator.row_lengths()  # the matrix's own cached derived state
+    tracemalloc.start()
+    try:
+        executor = ShardedExecutor(operator, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    executor.close()
+    # One int32 copy of the column indices alone would be 4 * nnz.
+    assert peak < 128 * operator.n_rows + 65536 < 4 * operator.nnz
+
+
+def one_row_matrix():
+    cols = np.arange(30)
+    return COOMatrix(
+        np.full(30, 7), cols, np.linspace(-1.0, 2.0, 30), (12, 30)
+    )
+
+
+def sparse_rows_matrix():
+    """Mostly empty rows: three non-empty rows among 40."""
+    rows = np.repeat([3, 17, 38], [5, 1, 9])
+    cols = np.concatenate([np.arange(5), [4], np.arange(9) * 2])
+    return COOMatrix(rows, cols, np.arange(1.0, 16.0), (40, 20))
+
+
+SHAPE_CASES = {
+    "random": lambda: random_coo(seed=82),
+    "empty-rows": sparse_rows_matrix,
+    "one-row": one_row_matrix,
+}
+
+
+@pytest.mark.parametrize("scheme", ["balanced", "bitonic", "contiguous",
+                                    "assignment"])
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+@pytest.mark.parametrize("n_shards", [2, 5, 16])
+def test_every_partition_is_bitwise_the_single_shard(case, scheme, n_shards):
+    matrix = SHAPE_CASES[case]()
+    options = partition_options(matrix, scheme, n_shards)
+    rng = np.random.default_rng(83)
+    x = rng.standard_normal(matrix.n_cols)
+    X = rng.standard_normal((matrix.n_cols, 3))
+    with ShardedExecutor(matrix, 1) as single:
+        expected_v, expected_m = single.spmv(x), single.spmm(X)
+    with ShardedExecutor(matrix, n_shards, **options) as ex:
+        stacked = np.sort(np.concatenate(ex.shard_row_ids))
+        assert np.array_equal(stacked, np.arange(matrix.n_rows))
+        assert ex.nnz == matrix.nnz
+        out = np.full(matrix.n_rows, np.nan)
+        assert np.array_equal(ex.spmv(x, out=out), expected_v)
+        Out = np.full((matrix.n_rows, 3), np.nan)
+        assert np.array_equal(ex.spmm(X, out=Out), expected_m)
+
+
+@pytest.mark.parametrize("scheme", ["balanced", "bitonic", "assignment"])
+def test_dynamic_update_rebuilds_the_views(scheme):
+    from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
+
+    dyn = DynamicMatrix(random_coo(n_rows=48, n_cols=48, nnz=240, seed=84))
+    stream = seeded_update_stream(dyn, 90, seed=85)
+    x = np.random.default_rng(86).standard_normal(dyn.n_cols)
+    options = partition_options(dyn, scheme, 3)
+    with ShardedExecutor(dyn, 3, **options) as ex:
+        before = ex._csr
+        for batch in (stream[:30], stream[30:60], stream[60:]):
+            dyn.apply_updates(batch)
+            expected = build_plan(dyn.coo_snapshot()).execute(x)
+            assert np.array_equal(ex.spmv(x), expected)
+            assert ex.nnz == dyn.nnz
+        assert ex._csr is not before
+        assert ex.resilience_stats["invalidations"] == 3
+
+
+# ----------------------------------------------------------------------
 # Persistent pool and zero-allocation steady state
 # ----------------------------------------------------------------------
 
@@ -167,18 +313,25 @@ def test_pool_persists_and_steady_state_allocates_nothing():
     y = np.empty(matrix.n_rows)
     X = np.ones((matrix.n_cols, 2))
     Y = np.empty((matrix.n_rows, 2))
-    with ShardedExecutor(matrix, 4) as ex:
-        pool = ex._pool
-        assert pool is not None  # spun up once, at construction
-        ex.spmv(x, out=y)  # warm-up grows the shard scratch buffers
-        ex.spmm(X, out=Y)
-        warm = [shard.pool.allocations for shard in ex.shards]
-        for _ in range(5):
-            ex.spmv(x, out=y)
+    # Balanced ranges write through views of ``out``; bitonic shards
+    # compute into pooled buffers and scatter.
+    for scheme in ("balanced", "bitonic"):
+        options = partition_options(matrix, scheme, 4)
+        with ShardedExecutor(matrix, 4, **options) as ex:
+            scattering = [s for s in ex.shards if not s.contiguous]
+            assert bool(scattering) == (scheme == "bitonic")
+            pool = ex._pool
+            assert pool is not None  # spun up once, at construction
+            ex.spmv(x, out=y)  # warm-up grows the shard scratch buffers
             ex.spmm(X, out=Y)
-        assert [s.pool.allocations for s in ex.shards] == warm
-        assert ex._pool is pool  # no per-call pool spin-up
-        assert ex.executions == 12
+            warm = [shard.pool.allocations for shard in ex.shards]
+            assert all(s.pool.allocations > 0 for s in scattering)
+            for _ in range(5):
+                ex.spmv(x, out=y)
+                ex.spmm(X, out=Y)
+            assert [s.pool.allocations for s in ex.shards] == warm
+            assert ex._pool is pool  # no per-call pool spin-up
+            assert ex.executions == 12
 
 
 def test_single_shard_needs_no_thread_pool():
@@ -275,8 +428,6 @@ def test_constructor_validation():
         ShardedExecutor(matrix, 0)
     with pytest.raises(ValidationError):
         ShardedExecutor(matrix, "three")
-    with pytest.raises(ValidationError):
-        ShardedExecutor(matrix, 2, partition="magic")
     with pytest.raises(ValidationError):
         ShardedExecutor(matrix, 2, assignment=np.zeros(3, dtype=np.int64))
     bad = np.zeros(matrix.n_rows, dtype=np.int64)
