@@ -26,6 +26,7 @@ numerical path.
 from __future__ import annotations
 
 import abc
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -179,12 +180,38 @@ class _SegmentReduction:
         out[self.target_rows] = partial
 
 
+def _with_scratch(method):
+    """Run ``method(self, x, out, tag)`` with ``tag`` from
+    :meth:`SpMVPlan._claim_scratch`, released when it returns."""
+
+    @functools.wraps(method)
+    def run(self, x, out):
+        tag = self._claim_scratch()
+        try:
+            method(self, x, out, tag)
+        finally:
+            self._release_scratch(tag)
+
+    return run
+
+
 class SpMVPlan(abc.ABC):
     """Base class of all execution plans.
 
     ``execute``/``execute_many`` validate inputs and dispatch to the
     format-specific ``_execute``/``_execute_many``; subclasses must
     fully overwrite ``out`` (no read of uninitialised memory).
+
+    A matrix hands its one cached plan to every thread that calls
+    ``spmv``, so the pooled scratch of a call must not be shared with a
+    concurrent one.  An execution claims the plan's shared buffers when
+    they are free (a non-blocking try-lock: the single-stream case, and
+    every sharded-executor shard, since the executor serialises its
+    calls); a call that finds them taken uses buffers keyed by its
+    thread.  Either way each thread's steady state allocates nothing.
+    The lock is reentrant, so the fallback SpMM's per-column
+    ``_execute`` calls reuse the shared buffers.  Composed plans call
+    their children's ``_execute``, which claim their own.
     """
 
     #: Name of the backend that built this plan.
@@ -195,6 +222,7 @@ class SpMVPlan(abc.ABC):
         self.pool = WorkspacePool()
         #: Number of completed executions (spmv and spmm both count).
         self.executions = 0
+        self._shared_scratch = threading.RLock()
 
     @property
     def n_rows(self) -> int:
@@ -336,13 +364,26 @@ class SpMVPlan(abc.ABC):
     def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write ``A @ x`` into ``out`` (both validated)."""
 
-    def _execute_many(self, X: np.ndarray, out: np.ndarray) -> None:
+    def _claim_scratch(self) -> str:
+        """Scratch-name suffix of one execution: ``""`` for the shared
+        buffers (now held; :meth:`_release_scratch` frees them), else the
+        calling thread's own."""
+        if self._shared_scratch.acquire(blocking=False):
+            return ""
+        return f":{threading.get_ident()}"
+
+    def _release_scratch(self, tag: str) -> None:
+        if not tag:
+            self._shared_scratch.release()
+
+    @_with_scratch
+    def _execute_many(self, X: np.ndarray, out: np.ndarray, tag) -> None:
         """Fallback SpMM: column-wise ``_execute`` through pool buffers.
 
         Subclasses with a single-gather batched path override this.
         """
-        xcol = self.pool.buffer("spmm:x", self.n_cols)
-        ycol = self.pool.buffer("spmm:y", self.n_rows)
+        xcol = self.pool.buffer("spmm:x" + tag, self.n_cols)
+        ycol = self.pool.buffer("spmm:y" + tag, self.n_rows)
         for j in range(X.shape[1]):
             np.copyto(xcol, X[:, j])
             self._execute(xcol, ycol)
@@ -362,15 +403,6 @@ class _GatherReducePlan(SpMVPlan):
     entry, in storage order), ``values`` (the matching data array), a
     ``segments`` reduction, and optionally ``perm`` — a permutation
     applied to the products before reduction (CSC's row-sort).
-
-    A matrix hands its one cached plan to every thread that calls
-    ``spmv``, so the O(nnz) scratch of a call must not be shared with a
-    concurrent one.  An execution claims the plan's shared buffers when
-    they are free (a non-blocking try-lock: the single-stream case, and
-    every sharded-executor shard, since the executor serialises its
-    calls); a call that finds them taken uses buffers keyed by its
-    thread, as :class:`~repro.graphs.dynamic.OverlayPlan` does.  Either
-    way each thread's steady state allocates nothing.
     """
 
     gather_cols: np.ndarray
@@ -378,25 +410,9 @@ class _GatherReducePlan(SpMVPlan):
     segments: _SegmentReduction
     perm: np.ndarray | None = None
 
-    def __init__(self, shape: tuple[int, int]) -> None:
-        super().__init__(shape)
-        self._shared_scratch = threading.Lock()
-
     @property
     def plan_nnz(self) -> int:
         return self.values.size
-
-    def _claim_scratch(self) -> str:
-        """Scratch-name suffix of one execution: ``""`` for the shared
-        buffers (now held; :meth:`_release_scratch` frees them), else the
-        calling thread's own."""
-        if self._shared_scratch.acquire(blocking=False):
-            return ""
-        return f":{threading.get_ident()}"
-
-    def _release_scratch(self, tag: str) -> None:
-        if not tag:
-            self._shared_scratch.release()
 
     def _reduce(
         self, products: np.ndarray, out: np.ndarray, tag: str
@@ -407,45 +423,38 @@ class _GatherReducePlan(SpMVPlan):
             products = permuted
         self.segments.apply(products, out, self.pool, tag)
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         nnz = self.plan_nnz
         if nnz == 0:
             out.fill(0.0)
             return
-        tag = self._claim_scratch()
-        try:
-            prod = self.pool.buffer("prod" + tag, nnz)
-            np.take(x, self.gather_cols, out=prod, mode="clip")
-            np.multiply(prod, self.values, out=prod)
-            self._reduce(prod, out, tag)
-        finally:
-            self._release_scratch(tag)
+        prod = self.pool.buffer("prod" + tag, nnz)
+        np.take(x, self.gather_cols, out=prod, mode="clip")
+        np.multiply(prod, self.values, out=prod)
+        self._reduce(prod, out, tag)
 
-    def _execute_many(self, X: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute_many(self, X: np.ndarray, out: np.ndarray, tag) -> None:
         nnz = self.plan_nnz
         if nnz == 0:
             out.fill(0.0)
             return
         k = X.shape[1]
-        tag = self._claim_scratch()
-        try:
-            # One transposed copy makes every right-hand side a
-            # contiguous row; each column then runs the exact
-            # gather/multiply/reduce sequence of ``_execute``, so the
-            # result columns are bit-identical to column-wise spmv calls
-            # while the validation and pool lookups are paid once per
-            # batch.
-            XT = self.pool.buffer("spmm:xt" + tag, (k, self.n_cols))
-            np.copyto(XT, X.T)
-            prod = self.pool.buffer("prod" + tag, nnz)
-            ycol = self.pool.buffer("spmm:y" + tag, self.n_rows)
-            for j in range(k):
-                np.take(XT[j], self.gather_cols, out=prod, mode="clip")
-                np.multiply(prod, self.values, out=prod)
-                self._reduce(prod, ycol, tag)
-                out[:, j] = ycol
-        finally:
-            self._release_scratch(tag)
+        # One transposed copy makes every right-hand side a contiguous
+        # row; each column then runs the exact gather/multiply/reduce
+        # sequence of ``_execute``, so the result columns are
+        # bit-identical to column-wise spmv calls while the validation
+        # and pool lookups are paid once per batch.
+        XT = self.pool.buffer("spmm:xt" + tag, (k, self.n_cols))
+        np.copyto(XT, X.T)
+        prod = self.pool.buffer("prod" + tag, nnz)
+        ycol = self.pool.buffer("spmm:y" + tag, self.n_rows)
+        for j in range(k):
+            np.take(XT[j], self.gather_cols, out=prod, mode="clip")
+            np.multiply(prod, self.values, out=prod)
+            self._reduce(prod, ycol, tag)
+            out[:, j] = ycol
 
 
 class CSRPlan(_GatherReducePlan):
@@ -624,11 +633,12 @@ class ELLPlan(SpMVPlan):
             ell.n_rows == 0 or ell.width == 0 or ell.n_cols == 0
         )
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         if self.degenerate:
             out.fill(0.0)
             return
-        gathered = self.pool.buffer("gather", self.indices.shape)
+        gathered = self.pool.buffer("gather" + tag, self.indices.shape)
         np.take(x, self.indices, out=gathered, mode="clip")
         np.multiply(gathered, self.values, out=gathered)
         np.sum(gathered, axis=1, out=out)
@@ -652,11 +662,12 @@ class DIAPlan(SpMVPlan):
             if hi > lo:
                 self.spans.append((d, off, lo, hi))
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         out.fill(0.0)
         if not self.spans:
             return
-        scratch = self.pool.buffer("diag", self.n_rows)
+        scratch = self.pool.buffer("diag" + tag, self.n_rows)
         for d, off, lo, hi in self.spans:
             seg = scratch[: hi - lo]
             np.multiply(self.values[d, lo:hi], x[lo + off : hi + off], out=seg)
@@ -675,9 +686,10 @@ class HYBPlan(SpMVPlan):
         self.ell = hyb.ell
         self.tail = hyb.coo
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         self.ell.spmv_plan()._execute(x, out)
-        tail_y = self.pool.buffer("tail:y", self.n_rows)
+        tail_y = self.pool.buffer("tail:y" + tag, self.n_rows)
         self.tail.spmv_plan()._execute(x, tail_y)
         out += tail_y
 
@@ -695,12 +707,13 @@ class PKTPlan(SpMVPlan):
         self.remainder = pkt.remainder
         self.packets = pkt.packets
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         self.remainder.spmv_plan()._execute(x, out)
         for i, packet in enumerate(self.packets):
             k = packet.row_ids.size
-            xg = self.pool.buffer(f"pkt{i}:x", k)
-            yg = self.pool.buffer(f"pkt{i}:y", k)
+            xg = self.pool.buffer(f"pkt{i}:x{tag}", k)
+            yg = self.pool.buffer(f"pkt{i}:y{tag}", k)
             np.take(x, packet.row_ids, out=xg, mode="clip")
             packet.local.spmv_plan()._execute(xg, yg)
             out[packet.row_ids] += yg
@@ -717,12 +730,13 @@ class TileCOOPlan(SpMVPlan):
         super().__init__(matrix.shape)
         self.matrix = matrix
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         tile_plan = self.matrix.plan
-        xr = self.pool.buffer("x:reordered", self.n_cols)
+        xr = self.pool.buffer("x:reordered" + tag, self.n_cols)
         np.take(x, tile_plan.col_order, out=xr, mode="clip")
         out.fill(0.0)
-        acc = self.pool.buffer("tile:acc", self.n_rows)
+        acc = self.pool.buffer("tile:acc" + tag, self.n_rows)
         for t, tile in enumerate(self.matrix.tiles):
             start, stop = tile_plan.tile_range(t)
             tile.spmv_plan()._execute(xr[start:stop], acc)
@@ -746,20 +760,21 @@ class TileCompositePlan(SpMVPlan):
         super().__init__(matrix.shape)
         self.matrix = matrix
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         tile_plan = self.matrix.plan
-        xr = self.pool.buffer("x:reordered", self.n_cols)
+        xr = self.pool.buffer("x:reordered" + tag, self.n_cols)
         np.take(x, tile_plan.col_order, out=xr, mode="clip")
         out.fill(0.0)
         for t, tile in enumerate(self.matrix.tiles):
             start, stop = tile_plan.tile_range(t)
-            partial = self.pool.buffer(f"tile{t}:y", tile.row_ids.size)
+            partial = self.pool.buffer(f"tile{t}:y{tag}", tile.row_ids.size)
             tile.csr.spmv_plan()._execute(xr[start:stop], partial)
             out[tile.row_ids] += partial
         remainder = self.matrix.remainder
         if remainder is not None:
             partial = self.pool.buffer(
-                "remainder:y", remainder.row_ids.size
+                "remainder:y" + tag, remainder.row_ids.size
             )
             remainder.csr.spmv_plan()._execute(
                 xr[tile_plan.dense_cols :], partial

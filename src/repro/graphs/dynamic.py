@@ -47,7 +47,7 @@ import threading
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.exec.plan import SpMVPlan
+from repro.exec.plan import SpMVPlan, _with_scratch
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.registry import spec_for
@@ -151,24 +151,20 @@ class OverlayPlan(SpMVPlan):
         self.sub_plan = sub_plan
         self.touched_rows = touched_rows
 
-    # The partial buffer is keyed per thread: the matrix hands the
-    # same cached plan to every concurrent reader, and a shared
-    # scratch would let one reader's overlay pass overwrite another's
-    # mid-scatter.  Steady state stays zero-alloc per querying thread.
-
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute(self, x: np.ndarray, out: np.ndarray, tag) -> None:
         self.base_plan._execute(x, out)
         partial = self.pool.buffer(
-            f"overlay:y:{threading.get_ident()}", self.touched_rows.size
+            "overlay:y" + tag, self.touched_rows.size
         )
         self.sub_plan._execute(x, partial)
         out[self.touched_rows] = partial
 
-    def _execute_many(self, X: np.ndarray, out: np.ndarray) -> None:
+    @_with_scratch
+    def _execute_many(self, X: np.ndarray, out: np.ndarray, tag) -> None:
         self.base_plan._execute_many(X, out)
         partial = self.pool.buffer(
-            f"overlay:Y:{threading.get_ident()}",
-            (self.touched_rows.size, X.shape[1]),
+            "overlay:Y" + tag, (self.touched_rows.size, X.shape[1])
         )
         self.sub_plan._execute_many(X, partial)
         out[self.touched_rows] = partial

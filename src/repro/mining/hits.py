@@ -16,20 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CheckpointError, ValidationError
+from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
     MiningResult,
+    checkpointer,
     convergence_trace,
     finish_run,
-    l1_delta,
     mining_setup,
-    resolve_checkpoint,
+    power_iterate,
     resolve_warm_start,
     resume_checkpoint,
+    start_walk,
 )
 from repro.mining.vector_kernels import reduction_cost, scale_cost
 from repro.tuner.fingerprint import matrix_fingerprint
@@ -110,35 +111,20 @@ def hits(
         n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
-        spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint
-        n = run.operator.n_rows // 2
-        ckpt_config = resolve_checkpoint(checkpoint)
+        engine, n = run.engine, run.operator.n_rows // 2
         warm = resolve_warm_start(
             warm_start, resume_from, (2 * n,), key="v", algorithm="hits",
-            fingerprint=fingerprint, check=warm_start_check,
+            fingerprint=run.fingerprint, check=warm_start_check,
         )
         snapshot = resume_checkpoint(resume_from, "hits", n=n)
-        start_iteration = 0
-        if snapshot is None:
-            v = np.full(2 * n, 1.0 / n) if warm is None else warm
-        else:
-            v = np.array(snapshot.array("v"), dtype=np.float64)
-            if v.shape != (2 * n,):
-                raise CheckpointError(
-                    f"checkpoint vector has shape {v.shape}, "
-                    f"expected ({2 * n},)"
-                )
-            start_iteration = snapshot.iteration
-        new_v = np.empty(2 * n)
-        scratch = np.empty(2 * n)
+        walk = start_walk(np.full(2 * n, 1.0 / n), warm, snapshot, "v")
         if multi_vector:
             X = np.zeros((2 * n, 2))
             Y = np.empty((2 * n, 2))
-        iterations = start_iteration
-        converged = False
         trace = convergence_trace("hits", tol=tol, multi_vector=multi_vector)
-        trace.tick()
-        for iterations in range(start_iteration + 1, max_iter + 1):
+        masses = {}
+
+        def step(v, new_v):
             if multi_vector:
                 X[:n, 0] = v[:n]
                 X[n:, 1] = v[n:]
@@ -149,60 +135,32 @@ def hits(
             if trace.active:
                 # Pre-normalisation mass of each half: the quantities
                 # the per-iteration normalisations divide away.
-                auth_mass = float(new_v[:n].sum())
-                hub_mass = float(new_v[n:].sum())
+                masses["authority_mass"] = float(new_v[:n].sum())
+                masses["hub_mass"] = float(new_v[n:].sum())
             for half in (slice(0, n), slice(n, 2 * n)):
                 total = new_v[half].sum()
                 if total > 0:
                     new_v[half] /= total
-            delta = l1_delta(new_v, v, scratch=scratch)
-            v, new_v = new_v, v
-            if trace.active:
-                trace.record(
-                    iterations, delta,
-                    authority_mass=auth_mass, hub_mass=hub_mass,
-                )
-            if ckpt_config is not None and ckpt_config.due(iterations):
-                from repro.resilience.checkpoint import Checkpoint
 
-                ckpt_config.save(Checkpoint(
-                    algorithm="hits",
-                    iteration=iterations,
-                    arrays={"v": v.copy()},
-                    params={"n": n, "tol": tol},
-                ))
-            if delta < tol:
-                converged = True
-                break
-        shards_used = getattr(engine, "n_shards", 1)
-    dev = spmv.device
+        power_iterate(
+            walk, step, tol=tol, max_iter=max_iter, trace=trace,
+            fields=lambda walk, j: masses,
+            checkpoint=checkpointer(
+                checkpoint, "hits", {"n": n, "tol": tol}, "v"
+            ),
+        )
+    dev = run.kernel.device
     per_iteration = (
-        spmv.cost()
+        run.kernel.cost()
         + reduction_cost(n, dev)  # authority normalisation sum
         + reduction_cost(n, dev)  # hub normalisation sum
         + scale_cost(n, dev)      # authority division
         + scale_cost(n, dev)      # hub division
         + reduction_cost(2 * n, dev)  # convergence check
-    ).relabel(f"hits/{spmv.name}")
-    total_cost = per_iteration.scaled(iterations).relabel(per_iteration.label)
-    extra = {
-        "n": n,
-        "tol": tol,
-        "multi_vector": multi_vector,
-        "n_shards": shards_used,
-        "operator_fingerprint": fingerprint,
-    }
-    if start_iteration:
-        extra["resume_iteration"] = start_iteration
-    if warm is not None:
-        extra["warm_start"] = True
-    return finish_run(trace, MiningResult(
-        algorithm="hits",
-        kernel_name=spmv.name,
-        vector=v,
-        iterations=iterations,
-        converged=converged,
-        per_iteration=per_iteration,
-        total_cost=total_cost,
-        extra=extra,
-    ))
+    )
+    return finish_run(
+        trace, "hits", run, per_iteration,
+        vector=walk.frozen[:, 0], iterations=int(walk.counts[0]),
+        converged=bool(walk.converged[0]), snapshot=snapshot, warm=warm,
+        n=n, tol=tol, multi_vector=multi_vector,
+    )

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CheckpointError, ValidationError
+from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
     MiningResult,
+    checkpointer,
     convergence_trace,
+    damped_step,
     finish_run,
-    l1_delta,
     mining_setup,
-    resolve_checkpoint,
+    power_iterate,
     resolve_warm_start,
     resume_checkpoint,
+    start_walk,
 )
 from repro.mining.vector_kernels import axpy_cost, reduction_cost
 from repro.tuner.fingerprint import matrix_fingerprint
@@ -129,92 +131,45 @@ def pagerank(
         n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
-        spmv, engine, fingerprint = run.kernel, run.engine, run.fingerprint
         n = run.operator.n_rows
-        ckpt_config = resolve_checkpoint(checkpoint)
         warm = resolve_warm_start(
             warm_start, resume_from, (n,), key="p", algorithm="pagerank",
-            fingerprint=fingerprint, check=warm_start_check,
+            fingerprint=run.fingerprint, check=warm_start_check,
         )
         snapshot = resume_checkpoint(
             resume_from, "pagerank", n=n, damping=damping
         )
         p0 = np.full(n, 1.0 / n)
-        start_iteration = 0
-        if snapshot is None:
-            p = p0.copy() if warm is None else warm
-        else:
-            p = np.array(snapshot.array("p"), dtype=np.float64)
-            if p.shape != (n,):
-                raise CheckpointError(
-                    f"checkpoint vector has shape {p.shape}, expected ({n},)"
-                )
-            start_iteration = snapshot.iteration
-        # Double-buffered power method: after the plan is built on the
-        # first call, each iteration is one SpMV into a reused buffer
-        # plus in-place vector ops — no per-iteration heap allocation.
-        new_p = np.empty(n)
-        scratch = np.empty(n)
-        base = (1.0 - damping) * p0
-        iterations = start_iteration
-        converged = False
-        # Per-iteration residual / dangling-mass / wall-time record; the
-        # shared NULL_TRACE (obs disabled) reduces every hook below to
-        # one attribute test, keeping the loop allocation-free.
+        walk = start_walk(p0, warm, snapshot, "p")
+        # Per-iteration residual / dangling-mass / wall-time record.
         trace = convergence_trace("pagerank", damping=damping, tol=tol)
-        trace.tick()
-        for iterations in range(start_iteration + 1, max_iter + 1):
-            engine.spmv(p, out=new_p)
-            if trace.active:
-                # Probability mass the operator lost at dangling nodes
-                # (rows of W^T with no incoming weight): in minus out.
-                dangling = float(p.sum() - new_p.sum())
-            np.multiply(new_p, damping, out=new_p)
-            new_p += base
-            delta = l1_delta(new_p, p, scratch=scratch)
-            p, new_p = new_p, p
-            if trace.active:
-                trace.record(
-                    iterations, delta,
-                    dangling_mass=dangling, mass=float(p.sum()),
-                )
-            if ckpt_config is not None and ckpt_config.due(iterations):
-                from repro.resilience.checkpoint import Checkpoint
+        lost = {}
 
-                ckpt_config.save(Checkpoint(
-                    algorithm="pagerank",
-                    iteration=iterations,
-                    arrays={"p": p.copy()},
-                    params={"n": n, "damping": damping, "tol": tol},
-                ))
-            if delta < tol:
-                converged = True
-                break
-        shards_used = getattr(engine, "n_shards", 1)
-    dev = spmv.device
+        def observe(p, product):
+            # Probability mass the operator lost at dangling nodes
+            # (rows of W^T with no incoming weight): in minus out.
+            lost["dangling_mass"] = float(p.sum() - product.sum())
+
+        power_iterate(
+            walk,
+            damped_step(run.engine, damping, ((1.0 - damping) * p0)[:, None],
+                        observe if trace.active else None),
+            tol=tol, max_iter=max_iter, trace=trace,
+            fields=lambda walk, j: {**lost, "mass": float(walk.X[:, 0].sum())},
+            checkpoint=checkpointer(
+                checkpoint, "pagerank",
+                {"n": n, "damping": damping, "tol": tol}, "p",
+            ),
+        )
+    dev = run.kernel.device
     per_iteration = (
-        spmv.cost()
+        run.kernel.cost()
         + axpy_cost(n, dev)          # damping update
         + reduction_cost(n, dev)     # convergence check
-    ).relabel(f"pagerank/{spmv.name}")
-    total = per_iteration.scaled(iterations).relabel(per_iteration.label)
-    extra = {
-        "damping": damping,
-        "tol": tol,
-        "n_shards": shards_used,
-        "operator_fingerprint": fingerprint,
-    }
-    if start_iteration:
-        extra["resume_iteration"] = start_iteration
-    if warm is not None:
-        extra["warm_start"] = True
-    return finish_run(trace, MiningResult(
-        algorithm="pagerank",
-        kernel_name=spmv.name,
-        vector=p,
-        iterations=iterations,
-        converged=converged,
-        per_iteration=per_iteration,
-        total_cost=total,
-        extra=extra,
-    ))
+    )
+    return finish_run(
+        trace, "pagerank", run, per_iteration,
+        vector=walk.frozen[:, 0], iterations=int(walk.counts[0]),
+        converged=bool(walk.converged[0]), snapshot=snapshot, warm=warm,
+        damping=damping, tol=tol,
+    )

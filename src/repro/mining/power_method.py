@@ -1,32 +1,44 @@
-"""Shared power-method infrastructure for the mining algorithms."""
+"""Shared power-method infrastructure for the mining algorithms.
+
+:func:`power_iterate` is the one power loop: PageRank, HITS, RWR, the
+query service's seeded walks and the simulated multi-GPU PageRank each
+supply a step and call it (DESIGN.md §7, "One power loop").
+"""
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ValidationError
+from repro.errors import CheckpointError, ConvergenceError, ValidationError
 from repro.gpu.costs import CostReport
 from repro.kernels.base import SpMVKernel
 from repro.obs import metrics as _metrics
-from repro.obs.convergence import convergence_trace
+from repro.obs.convergence import NULL_TRACE, convergence_trace
 
 __all__ = [
     "MiningResult",
     "RunSetup",
+    "Walk",
+    "check_seed",
+    "checkpointer",
     "convergence_trace",
+    "damped_step",
     "finish_run",
     "l1_delta",
     "mining_setup",
-    "resolve_checkpoint",
+    "power_iterate",
     "resolve_engine",
     "resolve_warm_start",
     "resume_checkpoint",
+    "seeded_walk",
+    "start_walk",
 ]
 
 #: ``adjacency.__dict__`` key of the per-algorithm setup cache.
@@ -223,17 +235,6 @@ def resolve_engine(
     return entry.sharded_executor(n_shards)
 
 
-def resolve_checkpoint(checkpoint):
-    """Normalise a mining ``checkpoint=`` argument.
-
-    Accepts ``None`` (no snapshots), an int period, or a full
-    :class:`~repro.resilience.CheckpointConfig`.
-    """
-    from repro.resilience.checkpoint import normalize_checkpoint
-
-    return normalize_checkpoint(checkpoint)
-
-
 def resume_checkpoint(resume_from, algorithm: str, **require):
     """Load and validate a mining ``resume_from=`` argument.
 
@@ -352,6 +353,232 @@ def l1_delta(
     return float(scratch.sum())
 
 
+class Walk:
+    """The state of a k-column power iteration: the iterate ``X``
+    (n, k), the last completed ``iteration``, each stopped column's
+    answer in ``frozen``, the ``active`` and deadline-``expired``
+    masks, and per-column iteration ``counts``.  A walk started from a
+    matrix is ``lockstep``: its checkpoints hold all of that state."""
+
+    __slots__ = (
+        "X", "iteration", "frozen", "active", "counts", "expired",
+        "lockstep",
+    )
+
+    def __init__(self, X, iteration=0, *, frozen=None, active=None,
+                 counts=None):
+        self.lockstep = X.ndim == 2
+        X = X.reshape(X.shape[0], -1)  # a vector is one column
+        k = X.shape[1]
+        self.X, self.iteration = X, iteration
+        self.frozen = X.copy() if frozen is None else frozen
+        self.active = np.ones(k, dtype=bool) if active is None else active
+        self.counts = (
+            np.full(k, iteration, dtype=np.int64) if counts is None
+            else counts
+        )
+        self.expired = np.zeros(k, dtype=bool)
+
+    @property
+    def converged(self) -> np.ndarray:
+        return ~(self.active | self.expired)
+
+    def arrays(self, key: str) -> dict:
+        """Checkpoint arrays: the iterate under ``key``, plus the
+        per-column state of a lockstep walk."""
+        if not self.lockstep:
+            return {key: self.X[:, 0].copy()}
+        return {
+            key: self.X.copy(),
+            "frozen": self.frozen.copy(),
+            "active": self.active.copy(),
+            "iteration_counts": self.counts.copy(),
+        }
+
+
+def start_walk(initial, warm, snapshot, key: str) -> Walk:
+    """The walk a run starts from: the resumed ``snapshot`` (the inverse
+    of :meth:`Walk.arrays`, shape-checked), else the ``warm`` start,
+    else a copy of ``initial``."""
+    if snapshot is None:
+        return Walk(initial.copy() if warm is None else warm)
+
+    def load(name, shape, dtype=np.float64):
+        array = np.array(snapshot.array(name), dtype=dtype)
+        if array.shape != shape:
+            raise CheckpointError(
+                f"checkpoint array {name!r} has shape {array.shape}, "
+                f"expected {shape}"
+            )
+        return array
+
+    X = load(key, initial.shape)
+    if X.ndim == 1:
+        return Walk(X, snapshot.iteration)
+    k = initial.shape[1:]
+    return Walk(
+        X, snapshot.iteration, frozen=load("frozen", initial.shape),
+        active=load("active", k, bool),
+        counts=load("iteration_counts", k, np.int64),
+    )
+
+
+def checkpointer(checkpoint, algorithm: str, params: dict, key: str,
+                 fixed=None):
+    """The driver's checkpoint hook for a mining ``checkpoint=``
+    argument (``None``, an int period or a
+    :class:`~repro.resilience.CheckpointConfig`): every ``every``
+    iterations save :meth:`Walk.arrays` (plus the ``fixed`` arrays)
+    under ``algorithm``/``params``.  ``None`` for no checkpoints."""
+    from repro.resilience.checkpoint import Checkpoint, normalize_checkpoint
+
+    config = normalize_checkpoint(checkpoint)
+    if config is None:
+        return None
+
+    def save(walk: Walk) -> None:
+        if config.due(walk.iteration):
+            config.save(Checkpoint(
+                algorithm=algorithm,
+                iteration=walk.iteration,
+                arrays={**walk.arrays(key), **(fixed or {})},
+                params=params,
+            ))
+
+    return save
+
+
+def damped_step(engine, alpha: float, base: np.ndarray, observe=None):
+    """The damped step ``Y = alpha * (A @ X) + base`` of PageRank, RWR
+    and the service walks.
+
+    ``base`` is (n, k).  One column runs ``engine.spmv`` on vectors,
+    more run ``engine.spmm``.  ``observe(X, A @ X)``, if given, sees
+    the product before the update (PageRank's dangling-mass trace).
+    """
+    if base.shape[1] == 1:
+        product, base = engine.spmv, base[:, 0]
+    else:
+        product = engine.spmm
+
+    def step(x: np.ndarray, out: np.ndarray) -> None:
+        product(x, out=out)
+        if observe is not None:
+            observe(x, out)
+        np.multiply(out, alpha, out=out)
+        out += base
+
+    return step
+
+
+def power_iterate(
+    walk: Walk,
+    step,
+    *,
+    tol: float,
+    max_iter: int,
+    trace=NULL_TRACE,
+    fields=None,
+    checkpoint=None,
+    deadlines=None,
+    clock=time.monotonic,
+) -> Walk:
+    """The one power loop: advance ``walk`` until each column converges.
+
+    ``step(x, out)`` writes the next iterate into ``out``: vectors for a
+    one-column walk, (n, k) matrices otherwise.  The loop owns the
+    double buffer, the L1 check (:func:`l1_delta` for one column; for k,
+    subtract and abs over the matrix, then each column staged into
+    contiguous scratch before its ``sum()``, so every column stops at
+    its solo iteration), per-column freeze, the ``deadlines`` (one
+    absolute ``clock()`` instant or ``None`` per column, checked before
+    each step; a column past it freezes as expired), the ``trace``
+    (one record per active column and iteration, with the extras
+    ``fields(walk, j)`` returns) and the ``checkpoint(walk)`` hook.
+    DESIGN.md §7 ("One power loop") has the argument.
+    """
+    if deadlines is not None and all(d is None for d in deadlines):
+        deadlines = None
+    X, frozen, active = walk.X, walk.frozen, walk.active
+    n, k = X.shape
+    trace.tick()
+    Y = np.empty_like(X)
+    scratch = np.empty(n)
+    if k == 1:
+        x, y = X[:, 0], Y[:, 0]
+    else:
+        D = np.empty_like(X)
+    for iteration in range(walk.iteration + 1, max_iter + 1):
+        if deadlines is not None:
+            now = clock()
+            for j in np.nonzero(active)[0]:
+                if deadlines[j] is not None and now >= deadlines[j]:
+                    active[j] = False
+                    walk.expired[j] = True
+                    frozen[:, j] = X[:, j]
+        if not active.any():
+            break
+        if k == 1:
+            step(x, y)
+            deltas = ((0, l1_delta(y, x, scratch=scratch)),)
+            x, y = y, x
+        else:
+            step(X, Y)
+            np.subtract(Y, X, out=D)
+            np.abs(D, out=D)
+            deltas = []
+            for j in np.nonzero(active)[0]:
+                np.copyto(scratch, D[:, j])
+                deltas.append((j, float(scratch.sum())))
+        X, Y = Y, X
+        walk.X, walk.iteration = X, iteration
+        for j, delta in deltas:
+            walk.counts[j] = iteration
+            if trace.active:
+                trace.record(iteration, delta, **fields(walk, j))
+            if delta < tol:
+                active[j] = False
+                frozen[:, j] = X[:, j]
+        if checkpoint is not None:
+            checkpoint(walk)
+    for j in np.nonzero(active)[0]:
+        frozen[:, j] = X[:, j]
+    return walk
+
+
+def check_seed(seed, n: int) -> int:
+    """A walk's seed node as an ``int``: a whole number in ``[0, n)``.
+
+    Bools and values with a fractional part are refused, not
+    truncated to a node id.
+    """
+    try:
+        node = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        node = None
+    if node is None or node != seed or isinstance(seed, (bool, np.bool_)):
+        raise ValidationError(f"seed {seed!r} is not a node id")
+    if not 0 <= node < n:
+        raise ValidationError(f"seed {node} out of range for n={n}")
+    return node
+
+
+def seeded_walk(engine, n: int, seeds, *, alpha: float, tol: float,
+                max_iter: int, warm=None, snapshot=None, **hooks) -> Walk:
+    """Lockstep walks ``R <- alpha * (A @ R) + (1 - alpha) * E`` from
+    ``R = E`` (or the ``warm``/``snapshot`` start); column ``j`` of ``E``
+    is the unit vector of ``seeds[j]``.  ``hooks`` go to
+    :func:`power_iterate`."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    k = len(seeds)
+    E = np.zeros((n, k))
+    E[seeds, np.arange(k)] = 1.0
+    walk = start_walk(E, warm, snapshot, "R")
+    step = damped_step(engine, alpha, (1.0 - alpha) * E)
+    return power_iterate(walk, step, tol=tol, max_iter=max_iter, **hooks)
+
+
 @dataclass
 class MiningResult:
     """Outcome of an iterative mining run.
@@ -399,15 +626,38 @@ class MiningResult:
         return self.extra.get("convergence")
 
 
-def finish_run(trace, result: MiningResult) -> MiningResult:
-    """Attach a convergence trace to a finished run and report it.
+def finish_run(
+    trace, algorithm: str, run: RunSetup, per_iteration: CostReport, *,
+    vector, iterations, converged: bool, snapshot=None, warm=None,
+    **extra,
+) -> MiningResult:
+    """Assemble a finished run's :class:`MiningResult` and report it.
 
-    Every mining algorithm funnels its result through here: when the
-    observability layer is on, the per-iteration record lands in
+    Every mining algorithm funnels its result through here: the cost
+    of one iteration scales by ``iterations`` (RWR's per-query mean),
+    and with observability on the trace lands in
     ``result.extra["convergence"]`` and the run counters/iteration
-    histogram on the global metrics registry; when it is off this is a
-    single attribute check.
+    histogram on the global metrics registry.
     """
+    per_iteration = per_iteration.relabel(f"{algorithm}/{run.kernel.name}")
+    extra["n_shards"] = getattr(run.engine, "n_shards", 1)
+    extra["operator_fingerprint"] = run.fingerprint
+    if snapshot is not None:
+        extra["resume_iteration"] = snapshot.iteration
+    if warm is not None:
+        extra["warm_start"] = True
+    result = MiningResult(
+        algorithm=algorithm,
+        kernel_name=run.kernel.name,
+        vector=vector,
+        iterations=int(round(iterations)),
+        converged=converged,
+        per_iteration=per_iteration,
+        total_cost=per_iteration.scaled(iterations).relabel(
+            per_iteration.label
+        ),
+        extra=extra,
+    )
     if trace.active:
         result.extra["convergence"] = trace.to_dict()
     if _metrics._ENABLED:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.gpu.costs import CostReport
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.pagerank import pagerank_operator
-from repro.mining.power_method import l1_delta
+from repro.mining.power_method import Walk, damped_step, power_iterate
 from repro.mining.vector_kernels import axpy_cost, reduction_cost
 from repro.multigpu.bitonic import (
     bitonic_partition,
@@ -469,10 +470,6 @@ def distributed_pagerank(
     row_lengths = op_coo.row_lengths()
     assignment = bitonic_partition(row_lengths, cluster.n_gpus)
     p0 = np.full(n, 1.0 / n)
-    p = p0.copy()
-    new_p = np.empty(n)
-    scratch = np.empty(n)
-    base = (1.0 - damping) * p0
     engine = None
     n_shards = cluster.n_gpus
     measured = np.zeros(cluster.n_gpus)
@@ -491,71 +488,78 @@ def distributed_pagerank(
             backend=measure_backend,
         )
 
+    def _fail(iteration: int) -> None:
+        nonlocal failed, assignment, engine, n_shards
+        failed = True
+        wall = time.perf_counter()
+        survivors = cluster.n_gpus - 1
+        assignment, moved_nnz = repartition_after_failure(
+            row_lengths, assignment, fail_node, cluster.n_gpus,
+        )
+        report.post_failure_node_reports = _node_reports(
+            op_coo, assignment, survivors, cluster, kernel,
+            check_memory=check_memory, **kernel_options,
+        )
+        report.post_failure_comm_seconds = allgather_seconds(
+            4 * n, survivors, cluster.network
+        )
+        report.failed_node = fail_node
+        report.failed_at_iteration = iteration
+        report.moved_nnz = moved_nnz
+        report.recovery_seconds = recovery_cost_seconds(
+            moved_nnz, cluster.network
+        )
+        if engine is not None:
+            engine.close()
+            n_shards = survivors
+            engine = _build_engine(n_shards, assignment)
+        report.recovery_wall_seconds = time.perf_counter() - wall
+        if _metrics._ENABLED:
+            _metrics.METRICS.inc("resilience.node_failures", node=fail_node)
+            _metrics.METRICS.observe(
+                "resilience.recovery.seconds", report.recovery_wall_seconds
+            )
+
+    def _spmv(p: np.ndarray, out: np.ndarray) -> None:
+        # Called once per iteration, so the call count is the iteration.
+        nonlocal pre_iters, post_iters, measured, measured_post
+        iteration = pre_iters + post_iters + 1
+        if (
+            fail_node is not None
+            and not failed
+            and iteration >= fail_at_iteration
+        ):
+            _fail(iteration)
+        if failed:
+            post_iters += 1
+        else:
+            pre_iters += 1
+        if engine is None:
+            operator.spmv(p, out=out)
+            return
+        engine.spmv(p, out=out)
+        if failed:
+            measured_post += engine.last_shard_seconds
+        else:
+            measured += engine.last_shard_seconds
+
     if measure:
         engine = _build_engine(n_shards, assignment)
-    iterations = 0
+    walk = Walk(p0.copy())
     try:
         with _span(
             "multigpu.distributed_pagerank",
             n_gpus=cluster.n_gpus, measure=measure,
         ) as span:
-            for iterations in range(1, max_iter + 1):
-                if (
-                    fail_node is not None
-                    and not failed
-                    and iterations >= fail_at_iteration
-                ):
-                    failed = True
-                    wall = time.perf_counter()
-                    survivors = cluster.n_gpus - 1
-                    assignment, moved_nnz = repartition_after_failure(
-                        row_lengths, assignment, fail_node,
-                        cluster.n_gpus,
-                    )
-                    report.post_failure_node_reports = _node_reports(
-                        op_coo, assignment, survivors, cluster, kernel,
-                        check_memory=check_memory, **kernel_options,
-                    )
-                    report.post_failure_comm_seconds = allgather_seconds(
-                        4 * n, survivors, cluster.network
-                    )
-                    report.failed_node = fail_node
-                    report.failed_at_iteration = iterations
-                    report.moved_nnz = moved_nnz
-                    report.recovery_seconds = recovery_cost_seconds(
-                        moved_nnz, cluster.network
-                    )
-                    if engine is not None:
-                        engine.close()
-                        n_shards = survivors
-                        engine = _build_engine(n_shards, assignment)
-                    report.recovery_wall_seconds = (
-                        time.perf_counter() - wall
-                    )
-                    if _metrics._ENABLED:
-                        _metrics.METRICS.inc(
-                            "resilience.node_failures", node=fail_node
-                        )
-                        _metrics.METRICS.observe(
-                            "resilience.recovery.seconds",
-                            report.recovery_wall_seconds,
-                        )
-                if engine is not None:
-                    engine.spmv(p, out=new_p)
-                    if failed:
-                        measured_post += engine.last_shard_seconds
-                        post_iters += 1
-                    else:
-                        measured += engine.last_shard_seconds
-                        pre_iters += 1
-                else:
-                    operator.spmv(p, out=new_p)
-                np.multiply(new_p, damping, out=new_p)
-                new_p += base
-                delta = l1_delta(new_p, p, scratch=scratch)
-                p, new_p = new_p, p
-                if delta < tol:
-                    break
+            power_iterate(
+                walk,
+                damped_step(
+                    SimpleNamespace(spmv=_spmv), damping,
+                    ((1.0 - damping) * p0)[:, None],
+                ),
+                tol=tol, max_iter=max_iter,
+            )
+            iterations = int(walk.counts[0])
             if span is not None:
                 span["attrs"]["iterations"] = iterations
                 if failed:
@@ -579,4 +583,4 @@ def distributed_pagerank(
     )
     report.vector_seconds = vector.time_seconds
     report.iterations = iterations
-    return p, report
+    return walk.frozen[:, 0], report

@@ -1,38 +1,12 @@
-"""Lockstep batched seeded-walk execution for the query service.
+"""Seeded walks for the query service: personalized PageRank and RWR.
 
-The service answers single-seed personalized-PageRank / RWR queries.
-Both reduce to the same damped power recurrence on a normalised
-operator ``A`` (``pagerank_operator`` for PPR, ``rwr_operator`` for
-RWR)::
-
-    r^(k+1) = alpha * (A @ r^(k)) + (1 - alpha) * e_seed
-
-Coalescing stacks the restart vectors of concurrent queries as columns
-of ``E`` and advances every walk with one SpMM per iteration — the
-batched-RWR construction from ``repro.mining.rwr``, which BENCH_exec
-measures at ~3.3x the column-wise cost for 8 columns.
-
-**The bitwise guarantee.**  Column ``j`` of :func:`seeded_batch` is
-bit-identical to :func:`seeded_solo` on the same engine because every
-step of its trajectory is:
-
-* ``engine.spmm(R)[:, j] == engine.spmv(R[:, j])`` — the executor /
-  plan contract pinned by the exec test suite for every format,
-  backend and shard count;
-* the restart update is an elementwise scalar multiply-add, so column
-  ``j`` of ``alpha * Y + B`` equals ``alpha * Y[:, j] + B[:, j]``
-  bit for bit;
-* convergence is judged per column with the same subtract / abs /
-  pairwise-sum sequence as the solo loop's ``l1_delta``: subtract and
-  abs are elementwise (batched over the whole iterate matrix), and the
-  final ``sum`` runs over a contiguous per-column staging buffer — the
-  exact bytes and pairwise tree of the solo reduction — so the
-  iteration at which column ``j`` stops is identical.
-
-A column whose deadline expires is frozen at its current iterate and
-flagged — a degraded but valid point of the solo trajectory — while
-the surviving columns are unaffected (column independence is exactly
-what the three properties above say).
+Both are the damped recurrence ``r <- alpha * (A @ r) + (1 - alpha) *
+e_seed`` on a normalised operator (``pagerank_operator`` for PPR,
+``rwr_operator`` for RWR), run by the one power loop of
+:mod:`repro.mining.power_method`.  A batch advances its walks in
+lockstep, one SpMM per iteration; a batch of one runs the solo SpMV
+path.  Every column is bit-identical to :func:`seeded_solo` on the same
+engine; DESIGN.md §7 ("One power loop") gives the argument.
 """
 
 from __future__ import annotations
@@ -42,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ValidationError
-from repro.mining.power_method import l1_delta
+from repro.mining.power_method import check_seed, seeded_walk
 
 __all__ = ["WalkResult", "seeded_batch", "seeded_solo"]
 
@@ -57,13 +30,6 @@ class WalkResult:
     iterations: int
     converged: bool
     expired: bool  # the per-query deadline fired before convergence
-
-
-def _check_seed(seed: int, n: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < n:
-        raise ValidationError(f"seed {seed} out of range for n={n}")
-    return seed
 
 
 def seeded_batch(
@@ -84,69 +50,22 @@ def seeded_batch(
     frozen at its current iterate and marked ``expired`` without
     touching the rest of the batch.
     """
-    seeds = [_check_seed(s, n) for s in seeds]
-    k = len(seeds)
-    if k == 0:
+    seeds = [check_seed(s, n) for s in seeds]
+    if not seeds:
         return []
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    E = np.zeros((n, k))
-    E[seeds, np.arange(k)] = 1.0
-    base = (1.0 - alpha) * E
-    R = E.copy()
-    R_new = np.empty_like(R)
-    D = np.empty_like(R)
-    scratch = np.empty(n)
-    frozen = E.copy()
-    active = np.ones(k, dtype=bool)
-    expired = np.zeros(k, dtype=bool)
-    converged = np.zeros(k, dtype=bool)
-    iteration_counts = np.zeros(k, dtype=np.int64)
-    for iteration in range(1, max_iter + 1):
-        if deadlines is not None:
-            now = clock()
-            for j in np.nonzero(active)[0]:
-                limit = deadlines[j]
-                if limit is not None and now >= limit:
-                    active[j] = False
-                    expired[j] = True
-                    frozen[:, j] = R[:, j]
-        if not active.any():
-            break
-        engine.spmm(R, out=R_new)
-        np.multiply(R_new, alpha, out=R_new)
-        R_new += base
-        # The solo loop's ``l1_delta`` is subtract, abs, then a
-        # pairwise sum over a contiguous buffer.  Subtract and abs are
-        # elementwise, so running them over the whole (n, k) matrix
-        # yields column ``j`` values bit-identical to the solo pair;
-        # staging each column into the contiguous scratch then gives
-        # ``sum()`` the exact pairwise tree the solo reduction walks.
-        np.subtract(R_new, R, out=D)
-        np.abs(D, out=D)
-        for j in np.nonzero(active)[0]:
-            np.copyto(scratch, D[:, j])
-            delta = float(scratch.sum())
-            iteration_counts[j] = iteration
-            if delta < tol:
-                active[j] = False
-                converged[j] = True
-                frozen[:, j] = R_new[:, j]
-        R, R_new = R_new, R
-        if not active.any():
-            break
-    for j in np.nonzero(active)[0]:
-        # Iteration budget exhausted: best-effort iterate, not converged.
-        frozen[:, j] = R[:, j]
+    walk = seeded_walk(
+        engine, n, seeds, alpha=alpha, tol=tol, max_iter=max_iter,
+        deadlines=deadlines, clock=clock,
+    )
     return [
         WalkResult(
-            seed=seeds[j],
-            vector=frozen[:, j].copy(),
-            iterations=int(iteration_counts[j]),
-            converged=bool(converged[j]),
-            expired=bool(expired[j]),
+            seed=seed,
+            vector=walk.frozen[:, j].copy(),
+            iterations=int(walk.counts[j]),
+            converged=bool(walk.converged[j]),
+            expired=bool(walk.expired[j]),
         )
-        for j in range(k)
+        for j, seed in enumerate(seeds)
     ]
 
 
@@ -162,35 +81,7 @@ def seeded_solo(
     clock=time.monotonic,
 ) -> WalkResult:
     """The reference single-seed walk a batched column must reproduce."""
-    seed = _check_seed(seed, n)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    e = np.zeros(n)
-    e[seed] = 1.0
-    base = (1.0 - alpha) * e
-    r = e.copy()
-    r_new = np.empty(n)
-    scratch = np.empty(n)
-    iterations = 0
-    converged = False
-    expired = False
-    for iteration in range(1, max_iter + 1):
-        if deadline is not None and clock() >= deadline:
-            expired = True
-            break
-        engine.spmv(r, out=r_new)
-        np.multiply(r_new, alpha, out=r_new)
-        r_new += base
-        delta = l1_delta(r_new, r, scratch=scratch)
-        iterations = iteration
-        r, r_new = r_new, r
-        if delta < tol:
-            converged = True
-            break
-    return WalkResult(
-        seed=seed,
-        vector=r.copy(),
-        iterations=iterations,
-        converged=converged,
-        expired=expired,
-    )
+    return seeded_batch(
+        engine, n, [seed], alpha=alpha, tol=tol, max_iter=max_iter,
+        deadlines=[deadline], clock=clock,
+    )[0]

@@ -8,8 +8,8 @@ single-seed personalized-PageRank / RWR queries are **coalesced** —
 queries against the same graph with identical recurrence parameters
 that arrive within a small window (or up to a maximum batch width) are
 fused into one batched-SpMM walk whose per-column results are bitwise
-identical to solo execution (see :mod:`repro.serve.batch` for the
-proof obligations, and the property suite for the evidence).
+identical to solo execution (DESIGN.md §7, "One power loop", has the
+argument, and the property suite the evidence).
 
 Around the batcher:
 
@@ -55,6 +55,7 @@ from repro.errors import (
 )
 from repro.mining.hits import hits
 from repro.mining.pagerank import pagerank_operator
+from repro.mining.power_method import check_seed
 from repro.mining.rwr import rwr_operator
 from repro.obs import metrics as _metrics
 from repro.obs.trace import trace
@@ -294,10 +295,7 @@ class QueryService:
         loop = asyncio.get_running_loop()
         entry = self._entry(graph)
         if algorithm in SEEDED_ALGORITHMS:
-            if seed is None:
-                raise ValidationError(
-                    f"{algorithm} queries need a seed node"
-                )
+            seed = check_seed(seed, entry.n)
             if alpha is None:
                 alpha = SEEDED_ALGORITHMS[algorithm]
         elif algorithm == "hits":
@@ -334,7 +332,7 @@ class QueryService:
                 time.monotonic() + deadline if deadline is not None else None
             )
             pending = _PendingQuery(
-                seed=int(seed), deadline=absolute,
+                seed=seed, deadline=absolute,
                 future=loop.create_future(), t0=time.perf_counter(),
             )
             key = (graph, algorithm, float(alpha), float(tol), int(max_iter))

@@ -248,6 +248,69 @@ def test_steady_state_performs_no_pool_allocations(fmt):
     assert plan.pool.allocations == warm
 
 
+def race_matrix(fmt: str, n: int = 10_000, nnz: int = 100_000):
+    if fmt in ("dia", "pkt"):
+        # A band of nnz / n diagonals: few diagonals for DIA, and
+        # clusters for PKT.
+        offsets = np.arange(nnz // n) - nnz // (2 * n)
+        rows = np.repeat(np.arange(n), offsets.size)
+        cols = rows + np.tile(offsets, n)
+        keep = (cols >= 0) & (cols < n)
+        rows, cols = rows[keep], cols[keep]
+        data = np.random.default_rng(4).standard_normal(rows.size)
+        return build(fmt, COOMatrix.from_unsorted(rows, cols, data, (n, n)))
+    return build(fmt, random_coo(n, n, nnz, seed=4))
+
+
+@pytest.mark.parametrize("fmt", ["ell", "dia", "hyb", "pkt"])
+def test_concurrent_numpy_plan_calls_do_not_share_scratch(fmt):
+    """One matrix's numpy plan serves concurrent spmv and spmm callers:
+    every result is bitwise equal to its one-thread reference, so no
+    call's pooled scratch is overwritten by another's."""
+    import sys
+    import threading
+
+    matrix = race_matrix(fmt)
+    plan = matrix.spmv_plan("numpy")
+    n_threads, calls = 8, 12
+    rng = np.random.default_rng(5)
+    xs = [rng.standard_normal(matrix.n_cols) for _ in range(n_threads)]
+    Xs = [rng.standard_normal((matrix.n_cols, 2)) for _ in range(n_threads)]
+    want = [plan.execute(x) for x in xs]
+    want_many = [plan.execute_many(X) for X in Xs]
+    mismatches = []
+
+    def worker(t):
+        y = np.empty(matrix.n_rows)
+        Y = np.empty((matrix.n_rows, 2))
+        try:
+            for _ in range(calls):
+                plan.execute(xs[t], out=y)
+                plan.execute_many(Xs[t], out=Y)
+                if not np.array_equal(y, want[t]):
+                    mismatches.append(("spmv", t))
+                if not np.array_equal(Y, want_many[t]):
+                    mismatches.append(("spmm", t))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            mismatches.append(("raised", t, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(t,))
+            for t in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
 # ----------------------------------------------------------------------
 # Backend registry
 # ----------------------------------------------------------------------

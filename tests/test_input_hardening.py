@@ -193,3 +193,57 @@ def test_legal_slow_layouts_still_work_everywhere(values):
     assert np.array_equal(
         SHARDED.spmm(f32), SHARDED.spmm(f32.astype(np.float64))
     )
+
+
+# ----------------------------------------------------------------------
+# Walk seeds: whole node ids only, never truncated
+# ----------------------------------------------------------------------
+
+NOT_NODE_IDS = [2.7, -0.5, True, False, np.bool_(True), float("nan"),
+                float("inf"), "3", None]
+
+
+@pytest.mark.parametrize("seed", NOT_NODE_IDS, ids=repr)
+def test_seeded_walks_refuse_seeds_that_are_not_node_ids(seed):
+    from repro.serve import seeded_batch, seeded_solo
+
+    coo = _matrix()
+    with pytest.raises(ValidationError):
+        seeded_batch(coo, N, [seed], alpha=0.85, tol=1e-8, max_iter=5)
+    with pytest.raises(ValidationError):
+        seeded_solo(coo, N, seed, alpha=0.85, tol=1e-8, max_iter=5)
+
+
+@pytest.mark.parametrize("seed", NOT_NODE_IDS, ids=repr)
+def test_service_refuses_seeds_that_are_not_node_ids(seed):
+    import asyncio
+
+    from repro.serve import QueryService
+
+    async def ask():
+        return await service.query(graph="g", algorithm="ppr", seed=seed)
+
+    with QueryService(window_seconds=0.005) as service:
+        service.register("g", rmat_graph(N, 4 * N, seed=3))
+        with pytest.raises(ValidationError):
+            asyncio.run(ask())
+
+
+@pytest.mark.parametrize("queries", [[1.7], [True], [3, False], [0.5, 2]])
+def test_rwr_refuses_queries_that_are_not_node_ids(queries):
+    from repro.mining.rwr import random_walk_with_restart
+
+    with pytest.raises(ValidationError):
+        random_walk_with_restart(
+            rmat_graph(N, 4 * N, seed=3), kernel="cpu-csr",
+            queries=queries, max_iter=5,
+        )
+
+
+def test_whole_float_and_numpy_integer_seeds_are_node_ids():
+    from repro.mining.power_method import check_seed
+
+    assert check_seed(2.0, N) == 2
+    assert check_seed(np.int32(5), N) == 5
+    assert check_seed(np.float64(7.0), N) == 7
+    assert type(check_seed(np.int64(3), N)) is int
