@@ -1046,10 +1046,7 @@ def _cmd_serve(args) -> int:
         max_queue=args.max_queue,
         max_warm=args.max_warm,
     )
-    service.register(
-        name, matrix,
-        n_shards=args.shards, tune=args.tune, tune_options=None,
-    )
+    service.register(name, matrix, n_shards=args.shards, tune=args.tune)
 
     async def main_loop():
         server = await serve_tcp(service, host=args.host, port=args.port)

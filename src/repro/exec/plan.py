@@ -207,8 +207,11 @@ class SpMVPlan(abc.ABC):
     concurrent one.  An execution claims the plan's shared buffers when
     they are free (a non-blocking try-lock: the single-stream case, and
     every sharded-executor shard, since the executor serialises its
-    calls); a call that finds them taken uses buffers keyed by its
-    thread.  Either way each thread's steady state allocates nothing.
+    calls); a call that finds them taken borrows a tag from a free list
+    of earlier ones, or a new tag when all are out, and returns it when
+    done.  The pool therefore holds at most one scratch set per peak
+    concurrent caller, however many threads come and go, and a steady
+    state allocates nothing.
     The lock is reentrant, so the fallback SpMM's per-column
     ``_execute`` calls reuse the shared buffers.  Composed plans call
     their children's ``_execute``, which claim their own.
@@ -223,6 +226,9 @@ class SpMVPlan(abc.ABC):
         #: Number of completed executions (spmv and spmm both count).
         self.executions = 0
         self._shared_scratch = threading.RLock()
+        self._tags_lock = threading.Lock()
+        self._free_tags: list[str] = []
+        self._n_tags = 0
 
     @property
     def n_rows(self) -> int:
@@ -366,15 +372,22 @@ class SpMVPlan(abc.ABC):
 
     def _claim_scratch(self) -> str:
         """Scratch-name suffix of one execution: ``""`` for the shared
-        buffers (now held; :meth:`_release_scratch` frees them), else the
-        calling thread's own."""
+        buffers, else a tag no running execution holds.
+        :meth:`_release_scratch` gives either back."""
         if self._shared_scratch.acquire(blocking=False):
             return ""
-        return f":{threading.get_ident()}"
+        with self._tags_lock:
+            if self._free_tags:
+                return self._free_tags.pop()
+            self._n_tags += 1
+            return f":{self._n_tags}"
 
     def _release_scratch(self, tag: str) -> None:
         if not tag:
             self._shared_scratch.release()
+            return
+        with self._tags_lock:
+            self._free_tags.append(tag)
 
     @_with_scratch
     def _execute_many(self, X: np.ndarray, out: np.ndarray, tag) -> None:

@@ -30,6 +30,7 @@ __all__ = [
     "checkpointer",
     "convergence_trace",
     "damped_step",
+    "drop_setup",
     "finish_run",
     "l1_delta",
     "mining_setup",
@@ -115,6 +116,7 @@ class RunSetup(NamedTuple):
     fingerprint: str  # matrix_fingerprint(operator)
     kernel: SpMVKernel  # cost model, and the engine of unsharded runs
     engine: object  # what runs the iteration's spmv/spmm
+    version: int  # the adjacency's data_version the operator was built at
 
 
 @contextmanager
@@ -132,7 +134,7 @@ def mining_setup(
     create,
     fingerprint,
 ):
-    """The one setup path of PageRank, HITS and RWR.
+    """The one setup path of PageRank, HITS, RWR and the query service.
 
     Builds ``build(adjacency.to_coo())``, its ``fingerprint``, the
     ``create``-d cost-model kernel and the engine (see
@@ -146,7 +148,7 @@ def mining_setup(
     adjacency queue while runs on different graphs never contend; a
     run that raises drops the entry, so the next one starts clean.
     The entry dies with the adjacency (executor pools close through
-    their finalisers).
+    their finalisers), or earlier through :func:`drop_setup`.
 
     ``create`` and ``fingerprint`` are passed as the calling module
     resolves them, so wrappers installed on that module (profilers,
@@ -178,10 +180,35 @@ def mining_setup(
             spmv = entry.kernel(kernel, device, kernel_options, create)
         engine = resolve_engine(entry, spmv, executor, n_shards, tune=tune)
         try:
-            yield RunSetup(entry.operator, entry.fingerprint, spmv, engine)
+            yield RunSetup(
+                entry.operator, entry.fingerprint, spmv, engine, entry.version
+            )
         except BaseException:
             entry.drop()
             raise
+
+
+def drop_setup(adjacency) -> dict[str, str]:
+    """Drop every setup entry cached on ``adjacency``, closing their
+    engines; returns ``{algorithm: fingerprint}`` of those dropped.
+
+    Each entry's lock is only tried, never waited for: an entry whose
+    run is in progress is skipped, so a caller holding other locks
+    (the query service's graph lock) cannot deadlock against it.
+    """
+    dropped = {}
+    for algorithm, entry in list(
+        adjacency.__dict__.get(_SETUP_CACHE, {}).items()
+    ):
+        if not entry.lock.acquire(blocking=False):
+            continue
+        try:
+            if entry.operator is not None:
+                dropped[algorithm] = entry.fingerprint
+            entry.drop()
+        finally:
+            entry.lock.release()
+    return dropped
 
 
 def resolve_engine(

@@ -19,21 +19,27 @@ Around the batcher:
   unbounded backlog.
 * **Per-query deadlines** — an expired query is frozen at its current
   iterate and flagged, without poisoning the rest of its batch; the
-  entry-level :class:`~repro.resilience.RetryPolicy` still rides the
-  executor underneath (shard timeout / straggler degradation).
-* **Warm/cold eviction** — at most ``max_warm`` graphs hold live
-  engines; the least-recently-*touched* warm graph is evicted (its
-  engines drained via the close/drain path) when a colder one needs
-  warming.  Touches include queries **and** observed
-  ``DynamicMatrix`` version bumps, so a hot update stream keeps its
-  graph warm.  Evictions are reported against the operator's tuner
-  fingerprint.
+  executor's default :class:`~repro.resilience.RetryPolicy` still rides
+  underneath (shard timeout / straggler degradation).
+* **One derived-state cache** — operators, kernels and executors live
+  in the graph's mining setup cache
+  (:func:`~repro.mining.power_method.mining_setup`), the one that
+  ``pagerank()``/``random_walk_with_restart()``/``hits()`` on the same
+  matrix object use: a graph served and mined in one process holds one
+  operator per algorithm, and a ``DynamicMatrix`` version bump makes
+  the next batch rebuild it.
+* **Warm/cold eviction** — at most ``max_warm`` graphs are warm; the
+  least-recently-*touched* warm graph is evicted (its setup dropped,
+  executors drained via the close/drain path) when a colder one needs
+  warming.  Touches include queries and ``notify_update``, so a hot
+  update stream keeps its graph warm.  Evictions are reported against
+  the operator's tuner fingerprint.
 * **Environment revalidation** — :meth:`QueryService.revalidate`
-  recomputes the tuner environment key (CPU count, affinity mask,
-  backends, library versions) for every warm engine and rebuilds the
-  stale ones, so a long-lived server that loses or gains cores re-tunes
-  instead of serving shard plans sized for a machine shape that no
-  longer exists.
+  compares the tuner environment key (CPU count, affinity mask,
+  backends, library versions) with the one each warm graph warmed
+  under and drops the setup of the stale ones, so a long-lived server
+  that loses or gains cores re-tunes instead of serving shard plans
+  sized for a machine shape that no longer exists.
 * **SLA metrics** — queue depth gauge, batch width and per-query
   latency histograms (p50/p99 via ``repro.obs``), rejection / eviction
   / deadline-expiry counters, all free when observability is disabled.
@@ -42,6 +48,7 @@ Around the batcher:
 from __future__ import annotations
 
 import asyncio
+import importlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,13 +60,12 @@ from repro.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
+from repro.exec.sharded import ShardedExecutor
+from repro.kernels.base import create
 from repro.mining.hits import hits
-from repro.mining.pagerank import pagerank_operator
-from repro.mining.power_method import check_seed
-from repro.mining.rwr import rwr_operator
+from repro.mining.power_method import check_seed, drop_setup, mining_setup
 from repro.obs import metrics as _metrics
 from repro.obs.trace import trace
-from repro.resilience.recovery import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.serve.batch import WalkResult, seeded_batch, seeded_solo
 from repro.tuner.fingerprint import environment_key, matrix_fingerprint
 
@@ -68,7 +74,14 @@ __all__ = ["QueryReply", "QueryService", "SEEDED_ALGORITHMS"]
 #: Seeded (coalescable) algorithms and their default walk probability.
 SEEDED_ALGORITHMS = {"ppr": 0.85, "rwr": 0.90}
 
-_OPERATORS = {"ppr": pagerank_operator, "rwr": rwr_operator}
+#: Seeded algorithm -> (mining setup key, module, operator builder).
+#: The builder is looked up through its module on every build, so
+#: wrappers installed there (profilers, span tracers) time the
+#: service's builds too.
+_SETUPS = {
+    "ppr": ("pagerank", "repro.mining.pagerank", "pagerank_operator"),
+    "rwr": ("rwr", "repro.mining.rwr", "rwr_operator"),
+}
 
 
 @dataclass
@@ -99,42 +112,37 @@ class QueryReply:
 
     def solo(self):
         """Recompute this query outside any batch, on a fresh engine of
-        the *same* configuration — the bitwise reference the coalesced
-        answer must equal (verification helper; not thread-safe against
-        a live service mutating the same graph)."""
+        the *same* configuration over the operator (or, for HITS, the
+        adjacency snapshot) it was answered on — the bitwise reference
+        the coalesced answer must equal (verification helper; not
+        thread-safe against a live service mutating the same graph)."""
         return self._solo()
 
 
-@dataclass
-class _EngineSlot:
-    algorithm: str
-    version: int
-    operator: object
-    engine: object
-    factory: object  # () -> fresh engine of the same configuration
-    environment: dict
-    fingerprint: str
-
-    def close(self) -> None:
-        closer = getattr(self.engine, "close", None)
-        # The plain-plan configuration serves straight off the
-        # operator's cached plan; there is nothing to drain.
-        if closer is not None and self.engine is not self.operator:
-            closer()
+def _replay_engines(run):
+    """A factory of private engines in ``run.engine``'s configuration
+    on ``run.operator``: a reply's ``solo()`` outlives the service's
+    own engine, which eviction, ``close()`` or an update closes."""
+    operator, engine = run.operator, run.engine
+    decision = getattr(engine, "decision", None)
+    if decision is not None:
+        return lambda: decision.build_engine(operator)
+    if isinstance(engine, ShardedExecutor):
+        n_shards, backend = engine.n_shards, engine.backend
+        return lambda: ShardedExecutor(operator, n_shards, backend=backend)
+    return lambda: operator  # the operator's own cached plan
 
 
 class _GraphEntry:
-    def __init__(self, name, matrix, *, n_shards, tune, tune_options,
-                 retry):
+    def __init__(self, name, matrix, *, n_shards, tune):
         self.name = name
         self.matrix = matrix
         self.n_shards = n_shards
         self.tune = tune
-        self.tune_options = dict(tune_options or {})
-        self.retry = retry
         self.state = "cold"
-        self.slots: dict[str, _EngineSlot] = {}
-        self.hits_cache = None  # (version, tol, max_iter, MiningResult)
+        self.environment = None  # environment_key() when it warmed
+        # (version, (tol, max_iter), MiningResult, adjacency snapshot)
+        self.hits_memo = None
         self.lock = threading.Lock()  # serialises execution + warming
         self.last_used = time.monotonic()
 
@@ -172,7 +180,9 @@ class QueryService:
     called before the loop runs, ``query`` must be awaited inside it.
     Batch execution happens on worker threads (one per in-flight
     batch), serialised per graph by the entry lock, so the loop stays
-    responsive while SpMM runs.
+    responsive while SpMM runs.  A batch takes the graph's entry lock,
+    then its mining setup entry's lock, never the reverse (DESIGN.md
+    §16).
     """
 
     def __init__(
@@ -182,7 +192,6 @@ class QueryService:
         max_batch: int = 8,
         max_queue: int = 64,
         max_warm: int = 4,
-        retry: RetryPolicy | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
@@ -194,7 +203,6 @@ class QueryService:
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.max_warm = int(max_warm)
-        self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         self._graphs: dict[str, _GraphEntry] = {}
         self._pending: dict[tuple, _PendingBatch] = {}
         self._state_lock = threading.Lock()
@@ -212,16 +220,18 @@ class QueryService:
         *,
         n_shards: int | str | None = None,
         tune: bool = False,
-        tune_options: dict | None = None,
     ) -> None:
         """Register a graph under ``name`` (static or dynamic).
 
         The execution configuration is fixed per graph: ``tune=True``
         lets the measured auto-tuner pick format × backend × shards for
-        each operator; ``n_shards`` pins a
+        each operator (``operator.tuned_plan()``); ``n_shards`` (an int
+        or ``"auto"``) runs on the setup's cached
         :class:`~repro.exec.ShardedExecutor`; neither serves off the
-        operator's cached plan.  Engines are built lazily on the first
-        query (warming), so registration is cheap.
+        operator's cached plan (or the ``REPRO_SPMV_SHARDS`` executor,
+        as every mining call does).  Operators and engines are built
+        lazily on the first query, in the matrix's mining setup cache,
+        so registration is cheap.
         """
         if tune and n_shards is not None:
             raise ValidationError(
@@ -237,8 +247,7 @@ class QueryService:
                 raise ValidationError(f"graph {name!r} already registered")
             self._graphs[name] = _GraphEntry(
                 name, matrix,
-                n_shards=n_shards, tune=tune, tune_options=tune_options,
-                retry=self.retry,
+                n_shards=n_shards, tune=tune,
             )
 
     def graphs(self) -> dict[str, str]:
@@ -249,12 +258,13 @@ class QueryService:
     def notify_update(self, name: str) -> None:
         """Tell the service a graph's content changed (push-style hook
         for update streams): bumps eviction recency so a hot stream
-        keeps its graph warm; the version-watermark check at the next
-        query rebuilds the operators."""
+        keeps its graph warm; the setup's version stamp makes the next
+        query rebuild the operators."""
         self._entry(name).touch()
 
     def close(self) -> None:
-        """Reject new queries and drain/close every warm engine."""
+        """Reject new queries and drop every warm graph's setup,
+        draining its executors."""
         self._closed = True
         with self._state_lock:
             entries = list(self._graphs.values())
@@ -385,13 +395,20 @@ class QueryService:
             if self._closed:
                 raise ValidationError("service is closed")
             with entry.lock:
-                slot = self._ensure_slot_locked(entry, batch.algorithm)
-                with trace(
+                self._warm_locked(entry)
+                key, module, builder = _SETUPS[batch.algorithm]
+                with mining_setup(
+                    entry.matrix, key,
+                    getattr(importlib.import_module(module), builder),
+                    "coo", device=None, kernel_options={}, executor=None,
+                    n_shards=entry.n_shards, tune=entry.tune,
+                    create=create, fingerprint=matrix_fingerprint,
+                ) as run, trace(
                     "serve.batch", graph=entry.name,
                     algorithm=batch.algorithm, width=width,
                 ):
                     results = seeded_batch(
-                        slot.engine, entry.n,
+                        run.engine, entry.n,
                         [q.seed for q in batch.queries],
                         alpha=batch.alpha, tol=batch.tol,
                         max_iter=batch.max_iter,
@@ -406,9 +423,11 @@ class QueryService:
             if width > 1:
                 _metrics.METRICS.inc("serve.coalesced", value=width)
         now = time.perf_counter()
+        replay = _replay_engines(run)
         for q, result in zip(batch.queries, results):
             reply = self._reply_from_walk(
-                entry, slot, batch, result, latency=now - q.t0, width=width
+                entry, run, replay, batch, result, latency=now - q.t0,
+                width=width,
             )
             if _metrics._ENABLED:
                 _metrics.METRICS.observe(
@@ -422,24 +441,23 @@ class QueryService:
             loop.call_soon_threadsafe(self._resolve, q.future, reply)
 
     def _reply_from_walk(
-        self, entry, slot, batch, result: WalkResult, *, latency, width
+        self, entry, run, replay, batch, result: WalkResult, *, latency,
+        width,
     ) -> QueryReply:
-        factory = slot.factory
-        n = entry.n
+        n, operator = entry.n, run.operator
         alpha, tol, max_iter = batch.alpha, batch.tol, batch.max_iter
         seed = result.seed
 
         def solo() -> WalkResult:
-            engine = factory()
+            engine = replay()
             try:
                 return seeded_solo(
                     engine, n, seed, alpha=alpha, tol=tol,
                     max_iter=max_iter,
                 )
             finally:
-                closer = getattr(engine, "close", None)
-                if closer is not None and engine is not slot.operator:
-                    closer()
+                if engine is not operator:
+                    engine.close()
 
         return QueryReply(
             graph=entry.name,
@@ -454,35 +472,39 @@ class QueryService:
             expired=result.expired,
             batch_width=width,
             latency_seconds=latency,
-            version=slot.version,
-            fingerprint=slot.fingerprint,
+            version=run.version,
+            fingerprint=run.fingerprint,
             _solo=solo,
         )
 
     def _execute_hits(self, entry, tol, max_iter, t0) -> QueryReply:
+        matrix = entry.matrix
         with entry.lock:
             # Warming bookkeeping (eviction budget) applies to HITS too.
             self._warm_locked(entry)
-            version = entry.matrix.data_version
-            cached = entry.hits_cache
-            if (
-                cached is None
-                or cached[0] != version
-                or cached[1] != (tol, max_iter)
-            ):
-                snapshot = entry.matrix.coo_snapshot()
+            # One HITS result per version and parameters: a repeat
+            # saves a whole power loop.
+            version = matrix.data_version
+            memo = entry.hits_memo
+            if memo is None or memo[:2] != (version, (tol, max_iter)):
+                snapshot = matrix.coo_snapshot()
                 result = hits(
-                    snapshot, kernel="cpu-csr", tol=tol, max_iter=max_iter
+                    matrix, kernel="cpu-csr", tol=tol, max_iter=max_iter
                 )
-                entry.hits_cache = (version, (tol, max_iter), result)
-            else:
-                result = cached[2]
-        snapshot_matrix = entry.matrix
+                if matrix.data_version != version:
+                    # An update landed mid-run: answer on the snapshot
+                    # itself, so the reply and its solo() agree.
+                    result = hits(
+                        snapshot, kernel="cpu-csr", tol=tol,
+                        max_iter=max_iter,
+                    )
+                memo = (version, (tol, max_iter), result, snapshot)
+                entry.hits_memo = memo
+        result, snapshot = memo[2:]
 
         def solo():
             return hits(
-                snapshot_matrix.coo_snapshot(), kernel="cpu-csr",
-                tol=tol, max_iter=max_iter,
+                snapshot, kernel="cpu-csr", tol=tol, max_iter=max_iter
             )
 
         latency = time.perf_counter() - t0
@@ -520,61 +542,6 @@ class QueryService:
     # Warming, eviction, revalidation
     # ------------------------------------------------------------------
 
-    def _ensure_slot_locked(self, entry, algorithm: str) -> _EngineSlot:
-        """Warm (or refresh) the entry's engine for ``algorithm``.
-
-        Caller holds ``entry.lock``.  A ``DynamicMatrix`` version bump
-        rebuilds the operator and engine from the new snapshot — the
-        update stream also counts as a touch for eviction recency.
-        """
-        self._warm_locked(entry)
-        version = entry.matrix.data_version
-        slot = entry.slots.get(algorithm)
-        if slot is not None and slot.version != version:
-            slot.close()
-            entry.slots.pop(algorithm, None)
-            entry.touch()  # live update stream keeps the graph warm
-            slot = None
-        if slot is None:
-            slot = self._build_slot(entry, algorithm, version)
-            entry.slots[algorithm] = slot
-        return slot
-
-    def _build_slot(self, entry, algorithm, version) -> _EngineSlot:
-        operator = _OPERATORS[algorithm](entry.matrix.coo_snapshot())
-        fingerprint = matrix_fingerprint(operator)
-        environment = environment_key()
-        if entry.tune:
-            from repro.tuner import tune
-
-            decision = tune(operator, **entry.tune_options)
-
-            def factory():
-                return decision.build_engine(operator)
-
-        elif entry.n_shards is not None:
-            from repro.exec.sharded import ShardedExecutor
-
-            n_shards, retry = entry.n_shards, entry.retry
-
-            def factory():
-                return ShardedExecutor(operator, n_shards, retry=retry)
-
-        else:
-
-            def factory():
-                return operator  # cached-plan path; nothing to close
-
-        return _EngineSlot(
-            algorithm=algorithm,
-            version=version,
-            operator=operator,
-            engine=factory(),
-            factory=factory,
-            environment=environment,
-            fingerprint=fingerprint,
-        )
-
     def _warm_locked(self, entry) -> None:
         """Mark ``entry`` warm, evicting the LRU warm graph over budget.
 
@@ -585,6 +552,7 @@ class QueryService:
         if entry.state == "warm":
             return
         entry.state = "warm"
+        entry.environment = environment_key()
         with self._state_lock:
             warm = [
                 e for e in self._graphs.values()
@@ -608,46 +576,43 @@ class QueryService:
             )
 
     def _cool_locked(self, entry, *, reason: str) -> None:
-        """Drain and drop the entry's engines (caller holds its lock)."""
-        if entry.state != "warm" and not entry.slots:
+        """Drop the entry's setup, draining its executors (caller holds
+        its lock)."""
+        if entry.state != "warm":
             return
-        for slot in entry.slots.values():
+        for fingerprint in drop_setup(entry.matrix).values():
             if _metrics._ENABLED:
                 _metrics.METRICS.inc(
                     "serve.evictions",
-                    graph=entry.name, fingerprint=slot.fingerprint,
+                    graph=entry.name, fingerprint=fingerprint,
                     reason=reason,
                 )
-            slot.close()
-        entry.slots.clear()
-        entry.hits_cache = None
+        entry.hits_memo = None
         entry.state = "cold"
 
     def revalidate(self) -> list[str]:
-        """Re-check every warm engine against the *current* tuner
-        environment key; rebuild the stale ones (satellite: a long-lived
-        server whose affinity mask changed must re-tune, not replay a
-        shard decision sized for the old machine shape).  Returns the
-        affected graph names."""
+        """Re-check every warm graph against the *current* tuner
+        environment key and drop the setup of the stale ones, so their
+        next query rebuilds (a long-lived server whose affinity mask
+        changed must re-tune, not replay a shard decision sized for the
+        old machine shape).  Returns the affected graph names."""
         environment = environment_key()
         with self._state_lock:
             entries = [e for e in self._graphs.values() if e.state == "warm"]
-        changed: list[str] = []
+        stale: list[str] = []
         for entry in entries:
             with entry.lock:
-                for algorithm, slot in list(entry.slots.items()):
-                    if slot.environment != environment:
-                        slot.close()
-                        entry.slots[algorithm] = self._build_slot(
-                            entry, algorithm, entry.matrix.data_version
+                if entry.state != "warm" or entry.environment == environment:
+                    continue
+                for algorithm in drop_setup(entry.matrix):
+                    if _metrics._ENABLED:
+                        _metrics.METRICS.inc(
+                            "serve.revalidations",
+                            graph=entry.name, algorithm=algorithm,
                         )
-                        changed.append(entry.name)
-                        if _metrics._ENABLED:
-                            _metrics.METRICS.inc(
-                                "serve.revalidations",
-                                graph=entry.name, algorithm=algorithm,
-                            )
-        return sorted(set(changed))
+                entry.environment = environment
+                stale.append(entry.name)
+        return sorted(stale)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -311,6 +311,64 @@ def test_concurrent_numpy_plan_calls_do_not_share_scratch(fmt):
     assert mismatches == []
 
 
+def test_contended_scratch_is_reused_across_thread_churn():
+    """Two rounds of 8 fresh threads each hold a claim on one ELL plan's
+    scratch at the same time: round 2 reuses the scratch round 1 left
+    behind, so the pool holds one set per peak concurrent caller, not
+    one per thread that ever contended.  Round 1's threads stay alive
+    through round 2, so no thread id is reused."""
+    import threading
+
+    matrix = race_matrix("ell")
+    plan = matrix.spmv_plan("numpy")
+    x = np.random.default_rng(6).standard_normal(matrix.n_cols)
+    want = plan.execute(x)
+    alone = plan.pool.nbytes
+    n_threads = 8
+    buffer = plan.pool.buffer
+    finish = threading.Event()
+    mismatches = []
+
+    def run_round():
+        barrier = threading.Barrier(n_threads)
+
+        def held(*args, **kwargs):
+            # Every execution holds its claim until all 8 have one.
+            barrier.wait(timeout=60)
+            return buffer(*args, **kwargs)
+
+        done = threading.Barrier(n_threads + 1)
+
+        def worker():
+            try:
+                if not np.array_equal(plan.execute(x), want):
+                    mismatches.append("spmv")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                mismatches.append(repr(exc))
+            done.wait(timeout=60)
+            finish.wait(timeout=60)
+
+        plan.pool.buffer = held
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        done.wait(timeout=60)
+        plan.pool.buffer = buffer
+        return threads, plan.pool.nbytes
+
+    try:
+        first, after_first = run_round()
+        second, after_second = run_round()
+    finally:
+        finish.set()
+    for thread in first + second:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in first + second)
+    assert mismatches == []
+    assert after_first == n_threads * alone  # the claims overlapped
+    assert after_second == after_first
+
+
 # ----------------------------------------------------------------------
 # Backend registry
 # ----------------------------------------------------------------------
