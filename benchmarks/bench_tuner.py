@@ -23,6 +23,7 @@ import json
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from harness import bench_header  # noqa: E402
+from repro.errors import FormatNotApplicableError  # noqa: E402
 from repro.exec.backends import available_backends  # noqa: E402
-from repro.exec.sharded import ShardedExecutor, auto_shard_count  # noqa: E402
-from repro.formats.convert import to_format  # noqa: E402
+from repro.exec.sharded import auto_shard_count  # noqa: E402
 from repro.graphs.rmat import rmat_graph  # noqa: E402
-from repro.tuner import TuningCache, tune  # noqa: E402
+from repro.tuner import (  # noqa: E402
+    TuningCache,
+    TuningDecision,
+    candidate_grid,
+    tune,
+)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -67,37 +73,22 @@ def loop_throughput(run, n_spmvs: int) -> float:
     return n_spmvs / (time.perf_counter() - start)
 
 
-def static_configurations(matrix) -> list[dict]:
-    """The grid a static chooser would pick from: every format the
-    tuner's pruning could reach x available backends x {1, auto}."""
-    configs = []
-    shard_counts = sorted({1, auto_shard_count(matrix.nnz)})
-    for fmt in ("csr", "ell", "hyb"):
-        try:
-            formatted = to_format(matrix, fmt)
-        except Exception:
-            continue
-        for backend in available_backends():
-            for n_shards in shard_counts:
-                configs.append({
-                    "format": fmt,
-                    "backend": backend,
-                    "n_shards": n_shards,
-                    "matrix": formatted,
-                })
-    return configs
-
-
-def static_runner(config, x, out):
-    """A closure executing one static configuration (plus its closer)."""
-    formatted = config["matrix"]
-    if config["n_shards"] == 1:
-        plan = formatted.spmv_plan(config["backend"])
-        return (lambda: plan.execute(x, out=out)), (lambda: None)
-    executor = ShardedExecutor(
-        formatted, config["n_shards"], backend=config["backend"]
+def static_configurations(matrix) -> list[TuningDecision]:
+    """The grid a static chooser would pick from: every distinct engine
+    of the formats the tuner's pruning could reach x available backends
+    x {1, auto}, each a decision whose
+    :meth:`~TuningDecision.build_engine` builds the engine exactly as a
+    tuned run would."""
+    candidates, _ = candidate_grid(
+        matrix,
+        formats=("csr", "ell", "hyb"),
+        backends=available_backends(),
+        shard_counts=(1, auto_shard_count(matrix.nnz)),
     )
-    return (lambda: executor.spmv(x, out=out)), executor.close
+    return [
+        TuningDecision("static", fmt, backend, n_shards, float("nan"))
+        for fmt, backend, n_shards in candidates
+    ]
 
 
 def run_benchmark(quick: bool) -> dict:
@@ -121,32 +112,36 @@ def run_benchmark(quick: bool) -> dict:
 
     engine = decision.build_engine(matrix)
     runners = []
-    closers = [engine.close]
-    for config in static_configurations(matrix):
-        run, close = static_runner(config, x, out)
-        runners.append((config, run, []))
-        closers.append(close)
-    tuned_samples: list[float] = []
     try:
+        for config in static_configurations(matrix):
+            try:
+                static = config.build_engine(matrix)
+            except FormatNotApplicableError:
+                continue  # e.g. ELL past its padding limit
+            runners.append((config, static, []))
+        tuned_samples: list[float] = []
         for _ in range(N_ROUNDS):
-            for _config, run, samples in runners:
-                samples.append(loop_throughput(run, n_spmvs))
+            for _config, static, samples in runners:
+                samples.append(loop_throughput(
+                    partial(static.spmv, x, out=out), n_spmvs
+                ))
             tuned_samples.append(loop_throughput(
-                lambda: engine.spmv(x, out=out), n_spmvs
+                partial(engine.spmv, x, out=out), n_spmvs
             ))
     finally:
-        for close in closers:
-            close()
+        for _config, static, _samples in runners:
+            static.close()
+        engine.close()
 
     static_rows = [
         {
-            "format": config["format"],
-            "backend": config["backend"],
-            "n_shards": config["n_shards"],
+            "format": config.format,
+            "backend": config.backend,
+            "n_shards": config.n_shards,
             "iterations_per_second": sorted(samples)[len(samples) // 2],
             "rounds": samples,
         }
-        for config, _run, samples in runners
+        for config, _engine, samples in runners
     ]
     best_static = max(
         static_rows, key=lambda r: r["iterations_per_second"]

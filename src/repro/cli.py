@@ -621,9 +621,10 @@ def _cmd_formats(_args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
+def _load_matrix(args):
+    """The input of ``tune``/``update``: exactly one of ``MATRIX.mtx``
+    or ``--rmat``; returns ``(matrix, source label)``."""
     from repro.errors import ValidationError
-    from repro.tuner import resolve_cache_path, tune
 
     if args.rmat == (args.matrix is not None):
         raise ValidationError(
@@ -633,17 +634,21 @@ def _cmd_tune(args) -> int:
         from repro.graphs.rmat import rmat_graph
 
         matrix = rmat_graph(args.nodes, args.edges, seed=args.seed)
-        source = f"rmat(nodes={args.nodes}, edges={args.edges}, seed={args.seed})"
-    else:
-        from repro.io.matrix_market import read_matrix_market
+        return matrix, (
+            f"rmat(nodes={args.nodes}, edges={args.edges}, seed={args.seed})"
+        )
+    from repro.io.matrix_market import read_matrix_market
 
-        try:
-            matrix = read_matrix_market(args.matrix)
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot read {args.matrix!r}: {exc}"
-            ) from exc
-        source = args.matrix
+    try:
+        return read_matrix_market(args.matrix), args.matrix
+    except OSError as exc:
+        raise ValidationError(f"cannot read {args.matrix!r}: {exc}") from exc
+
+
+def _cmd_tune(args) -> int:
+    from repro.tuner import resolve_cache_path, tune
+
+    matrix, source = _load_matrix(args)
     budget = {"repeats": 2, "warmup": 1} if args.quick else {}
     decision = tune(matrix, force=args.force, **budget)
     rows = []
@@ -856,32 +861,11 @@ def _cmd_update(args) -> int:
     from repro.formats.registry import get_format
     from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
 
-    if args.rmat == (args.matrix is not None):
-        raise ValidationError(
-            "pass exactly one input: a MatrixMarket path or --rmat"
-        )
     if args.batches < 1:
         raise ValidationError("--batches must be at least 1")
     if args.ops < args.batches:
         raise ValidationError("--ops must be at least --batches")
-    if args.rmat:
-        from repro.graphs.rmat import rmat_graph
-
-        matrix = rmat_graph(args.nodes, args.edges, seed=args.seed)
-        source = (
-            f"rmat(nodes={args.nodes}, edges={args.edges}, "
-            f"seed={args.seed})"
-        )
-    else:
-        from repro.io.matrix_market import read_matrix_market
-
-        try:
-            matrix = read_matrix_market(args.matrix)
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot read {args.matrix!r}: {exc}"
-            ) from exc
-        source = args.matrix
+    matrix, source = _load_matrix(args)
     spec = get_format(args.fmt)
     dyn = DynamicMatrix(
         spec.build(matrix.to_coo()), nnz_delta=args.nnz_delta

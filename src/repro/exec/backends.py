@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.exec.plan import SpMVPlan, check_rhs_matrix
+from repro.exec.plan import SpMVPlan
 from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 
@@ -54,6 +54,11 @@ class Backend(abc.ABC):
     """One way of compiling matrices into execution plans."""
 
     name: str = "abstract"
+
+    #: Whether every format compiles to one and the same CSR plan, so
+    #: the storage format cannot change what this backend executes
+    #: (the tuner measures one format per such backend).
+    format_free: bool = False
 
     @abc.abstractmethod
     def is_available(self) -> bool:
@@ -151,6 +156,7 @@ class ScipyBackend(Backend):
     """Optional SciPy-sparse backend (auto-detected)."""
 
     name = "scipy"
+    format_free = True
 
     def is_available(self) -> bool:
         try:
@@ -279,6 +285,3 @@ def configure_from_env() -> str:
 
 
 configure_from_env()
-
-# check_rhs_matrix is re-exported for SparseMatrix.spmm's validation.
-_ = check_rhs_matrix

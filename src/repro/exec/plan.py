@@ -57,7 +57,7 @@ __all__ = [
     "TileCOOPlan",
     "TileCompositePlan",
     "check_out_buffer",
-    "check_rhs_matrix",
+    "prepare_rhs",
 ]
 
 
@@ -77,9 +77,14 @@ class PlanCacheStats:
 PLAN_CACHE_STATS = PlanCacheStats()
 
 
-def check_out_buffer(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Validate a caller-supplied output buffer (shared by plans and the
-    sharded executor)."""
+def check_out_buffer(
+    out: np.ndarray | None, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The output buffer of one call: a fresh array when ``out`` is
+    ``None``, else the caller's buffer, validated (shared by plans and
+    the sharded executor)."""
+    if out is None:
+        return np.empty(shape, dtype=np.float64)
     if not isinstance(out, np.ndarray):
         raise ValidationError("out must be a numpy array")
     if out.dtype != np.float64:
@@ -93,17 +98,29 @@ def check_out_buffer(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def check_rhs_matrix(X: np.ndarray, expected_rows: int) -> np.ndarray:
-    """Validate a multi-vector right-hand side for SpMM.
+def prepare_rhs(
+    X, n_cols: int, pool: WorkspacePool, name: str
+) -> np.ndarray:
+    """Validate a multi-vector right-hand side without a per-call copy
+    (the one SpMM front door of plans and the sharded executor).
 
-    Returns ``X`` itself when it is already a float64 2-D array with
-    non-negative strides (no copy — Fortran-ordered iterates are legal
-    here; the pooled staging in ``normalize_rhs`` handles layout).
-    Anything else is coerced by :func:`~repro.formats.base.coerce_array`,
-    which raises a loud :class:`ValidationError` on complex/object/
-    string dtypes, wrong rank, and negative-stride views.
+    A C-contiguous float64 matrix passes through untouched; anything
+    else — Fortran-ordered iterates, strided views, other real dtypes —
+    is copied into ``pool.buffer(name, X.shape)``, so repeated calls
+    with the same batch shape stay allocation-free in steady state.
+    The caller owns ``name`` for the call (a plan's scratch claim, the
+    executor's call lock).  Un-coercible dtypes, wrong rank, negative
+    strides and non-finite values all raise a loud
+    :class:`ValidationError` (via
+    :func:`~repro.formats.base.coerce_array` /
+    :func:`~repro.formats.base.all_finite`).
     """
-    if isinstance(X, np.ndarray) and X.dtype == np.float64:
+    if isinstance(X, np.ndarray):
+        if X.dtype.kind not in "buif" or X.dtype.itemsize > 8:
+            raise ValidationError(
+                f"SpMM input has unsupported dtype {X.dtype}; expected "
+                "a real numeric dtype convertible to float64"
+            )
         if X.ndim != 2:
             raise ValidationError(f"SpMM input must be 2-D, got {X.ndim}-D")
         if any(stride < 0 for stride in X.strides):
@@ -113,9 +130,18 @@ def check_rhs_matrix(X: np.ndarray, expected_rows: int) -> np.ndarray:
             )
     else:
         X = coerce_array(X, "SpMM input", ndim=2)
-    if X.shape[0] != expected_rows:
+    if X.shape[0] != n_cols:
         raise ValidationError(
-            f"SpMM input has {X.shape[0]} rows, expected {expected_rows}"
+            f"SpMM input has {X.shape[0]} rows, expected {n_cols}"
+        )
+    if not (X.dtype == np.float64 and X.flags.c_contiguous):
+        staged = pool.buffer(name, X.shape)
+        np.copyto(staged, X)
+        X = staged
+    if X.size and not all_finite(X):
+        raise ValidationError(
+            "SpMM input contains NaN or Inf; refusing to propagate "
+            "non-finite values"
         )
     return X
 
@@ -212,9 +238,11 @@ class SpMVPlan(abc.ABC):
     done.  The pool therefore holds at most one scratch set per peak
     concurrent caller, however many threads come and go, and a steady
     state allocates nothing.
-    The lock is reentrant, so the fallback SpMM's per-column
-    ``_execute`` calls reuse the shared buffers.  Composed plans call
-    their children's ``_execute``, which claim their own.
+    A claim is reentrant per thread: a nested claim on the same plan
+    (``execute_many``'s staging around ``_execute_many``, the fallback
+    SpMM's per-column ``_execute`` calls) reuses the held tag.
+    Composed plans call their children's ``_execute``, which claim
+    their own.
     """
 
     #: Name of the backend that built this plan.
@@ -225,7 +253,8 @@ class SpMVPlan(abc.ABC):
         self.pool = WorkspacePool()
         #: Number of completed executions (spmv and spmm both count).
         self.executions = 0
-        self._shared_scratch = threading.RLock()
+        self._shared_scratch = threading.Lock()
+        self._held = threading.local()  # this thread's (tag, depth)
         self._tags_lock = threading.Lock()
         self._free_tags: list[str] = []
         self._n_tags = 0
@@ -247,32 +276,8 @@ class SpMVPlan(abc.ABC):
         from repro.formats.base import check_vector
 
         x = check_vector(x, self.n_cols)
-        out = self._check_out(out, (self.n_rows,))
-        if _faults._ARMED:
-            _faults.INJECTOR.fire("backend.spmv", plan=type(self).__name__)
-        if _metrics._ENABLED:
-            tick = time.perf_counter()
-            self._execute(x, out)
-            _metrics.METRICS.inc(
-                "spmv.calls", plan=type(self).__name__, backend=self.backend
-            )
-            _metrics.METRICS.observe(
-                "spmv.seconds",
-                time.perf_counter() - tick,
-                plan=type(self).__name__,
-                backend=self.backend,
-            )
-        else:
-            self._execute(x, out)
-        if _faults._ARMED:
-            # Silent corruption site: the poisoned value rides out of this
-            # call and is caught by the next check_vector / the sharded
-            # executor's output validation — never propagated quietly.
-            _faults.INJECTOR.corrupt(
-                "backend.corrupt", out, plan=type(self).__name__
-            )
-        self.executions += 1
-        return out
+        out = check_out_buffer(out, (self.n_rows,))
+        return self._run(self._execute, x, out, "spmv")
 
     def execute_many(
         self, X: np.ndarray, out: np.ndarray | None = None
@@ -281,86 +286,63 @@ class SpMVPlan(abc.ABC):
 
         ``X`` has shape ``(n_cols, k)``; the result has ``(n_rows, k)``.
         Column ``j`` of the result is bit-identical to
-        ``execute(X[:, j])``.
+        ``execute(X[:, j])``.  A right-hand side that needs staging
+        (:func:`prepare_rhs`) is staged under this call's scratch claim,
+        so the pool holds one staged copy per peak concurrent caller.
         """
-        X = self.normalize_rhs(X)
-        out = self._check_out(out, (self.n_rows, X.shape[1]))
+        tag = self._claim_scratch()
+        try:
+            X = prepare_rhs(X, self.n_cols, self.pool, "spmm:rhs" + tag)
+            out = check_out_buffer(out, (self.n_rows, X.shape[1]))
+            return self._run(self._execute_many, X, out, "spmm")
+        finally:
+            self._release_scratch(tag)
+
+    def _run(self, method, rhs, out: np.ndarray, kind: str) -> np.ndarray:
+        """``method(rhs, out)`` between the ``backend.<kind>`` fault
+        sites, counted as ``<kind>.calls``/``<kind>.seconds``."""
+        name = type(self).__name__
         if _faults._ARMED:
-            _faults.INJECTOR.fire("backend.spmm", plan=type(self).__name__)
+            _faults.INJECTOR.fire("backend." + kind, plan=name)
         if _metrics._ENABLED:
             tick = time.perf_counter()
-            self._execute_many(X, out)
+            method(rhs, out)
             _metrics.METRICS.inc(
-                "spmm.calls", plan=type(self).__name__, backend=self.backend
+                kind + ".calls", plan=name, backend=self.backend
             )
             _metrics.METRICS.observe(
-                "spmm.seconds",
+                kind + ".seconds",
                 time.perf_counter() - tick,
-                plan=type(self).__name__,
+                plan=name,
                 backend=self.backend,
             )
         else:
-            self._execute_many(X, out)
+            method(rhs, out)
         if _faults._ARMED:
-            _faults.INJECTOR.corrupt(
-                "backend.corrupt", out, plan=type(self).__name__
-            )
+            # Silent corruption site: the poisoned value rides out of this
+            # call and is caught by the next check_vector / the sharded
+            # executor's output validation — never propagated quietly.
+            _faults.INJECTOR.corrupt("backend.corrupt", out, plan=name)
         self.executions += 1
         return out
 
-    def normalize_rhs(self, X: np.ndarray) -> np.ndarray:
-        """Validate a multi-vector right-hand side without a per-call copy.
+    # A plan is an engine: the ``spmv``/``spmm``/``close`` surface of
+    # :class:`~repro.exec.ShardedExecutor`, with nothing to release.
 
-        A C-contiguous float64 matrix passes through untouched; anything
-        else — Fortran-ordered iterates, strided views, other real
-        dtypes — is copied once into a pooled workspace, so repeated
-        calls with the same batch shape stay allocation-free in steady
-        state.  Un-coercible dtypes, wrong rank, negative strides and
-        non-finite values all raise a loud :class:`ValidationError`
-        (via :func:`~repro.formats.base.coerce_array` /
-        :func:`~repro.formats.base.all_finite`).
-        """
-        if isinstance(X, np.ndarray):
-            if X.dtype.kind not in "buif" or X.dtype.itemsize > 8:
-                raise ValidationError(
-                    f"SpMM input has unsupported dtype {X.dtype}; expected "
-                    "a real numeric dtype convertible to float64"
-                )
-            if X.ndim != 2:
-                raise ValidationError(
-                    f"SpMM input must be 2-D, got {X.ndim}-D"
-                )
-            if any(stride < 0 for stride in X.strides):
-                raise ValidationError(
-                    "SpMM input has negative strides (a reversed view); "
-                    "pass a contiguous copy instead"
-                )
-        else:
-            X = coerce_array(X, "SpMM input", ndim=2)
-        if X.shape[0] != self.n_cols:
-            raise ValidationError(
-                f"SpMM input has {X.shape[0]} rows, expected {self.n_cols}"
-            )
-        if not (X.dtype == np.float64 and X.flags.c_contiguous):
-            # Keyed per thread: a cached plan serves concurrent callers.
-            staged = self.pool.buffer(
-                f"spmm:rhs:{threading.get_ident()}", X.shape
-            )
-            np.copyto(staged, X)
-            X = staged
-        if X.size and not all_finite(X):
-            raise ValidationError(
-                "SpMM input contains NaN or Inf; refusing to propagate "
-                "non-finite values"
-            )
-        return X
+    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.execute(x, out=out)
 
-    def _check_out(
-        self, out: np.ndarray | None, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        if out is None:
-            return np.empty(shape, dtype=np.float64)
-        return check_out_buffer(out, shape)
+    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.execute_many(X, out=out)
+
+    def close(self) -> None:
+        """No-op: a plan owns no threads."""
+
+    def __enter__(self) -> "SpMVPlan":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Format-specific implementations
@@ -374,15 +356,28 @@ class SpMVPlan(abc.ABC):
         """Scratch-name suffix of one execution: ``""`` for the shared
         buffers, else a tag no running execution holds.
         :meth:`_release_scratch` gives either back."""
+        held = self._held
+        depth = getattr(held, "depth", 0)
+        if depth:
+            held.depth = depth + 1
+            return held.tag
         if self._shared_scratch.acquire(blocking=False):
-            return ""
-        with self._tags_lock:
-            if self._free_tags:
-                return self._free_tags.pop()
-            self._n_tags += 1
-            return f":{self._n_tags}"
+            tag = ""
+        else:
+            with self._tags_lock:
+                if self._free_tags:
+                    tag = self._free_tags.pop()
+                else:
+                    self._n_tags += 1
+                    tag = f":{self._n_tags}"
+        held.tag, held.depth = tag, 1
+        return tag
 
     def _release_scratch(self, tag: str) -> None:
+        held = self._held
+        held.depth -= 1
+        if held.depth:
+            return
         if not tag:
             self._shared_scratch.release()
             return

@@ -62,7 +62,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.exec.backends import _resolve, build_plan
-from repro.exec.plan import check_out_buffer
+from repro.exec.plan import check_out_buffer, prepare_rhs
 from repro.exec.workspace import WorkspacePool
 from repro.formats.base import all_finite, check_vector
 from repro.formats.csr import CSRMatrix
@@ -82,10 +82,6 @@ __all__ = [
 #: Below this many non-zeros per shard, thread dispatch overhead beats
 #: the parallel win — the auto policy keeps such matrices on one shard.
 AUTO_MIN_NNZ_PER_SHARD = 200_000
-
-#: Format the ``n_shards="tuned"`` grid is pinned to (shard execution
-#: is format-agnostic: every shard runs a canonical CSR row range).
-BASELINE_TUNE_FORMAT = "csr"
 
 def available_cpu_count() -> int:
     """Cores this process may actually run on.
@@ -181,10 +177,8 @@ class ShardedExecutor:
         Number of row shards; ``None`` (or ``"auto"``) applies the auto
         policy — ``REPRO_SPMV_SHARDS`` if set, else one shard per core
         capped so shards keep at least :data:`AUTO_MIN_NNZ_PER_SHARD`
-        non-zeros.  ``"tuned"`` asks the measured auto-tuner
-        (:func:`repro.tuner.tune`) to *measure* the shard-count choice
-        for this matrix and backend, resolving from the persistent
-        tuning cache when a fresh decision exists.
+        non-zeros.  A measured shard count comes from the tuner:
+        :meth:`repro.tuner.TuningDecision.build_engine`.
     backend:
         Execution backend for the per-shard plans (default: the
         registry default).
@@ -193,8 +187,6 @@ class ShardedExecutor:
         reuse its own partition exactly.  By default the rows are cut
         into contiguous ranges of near-equal non-zero count (zero-copy
         matrix and output views).
-    timing:
-        Record per-shard wall seconds (:attr:`last_shard_seconds`).
     retry:
         The :class:`~repro.resilience.recovery.RetryPolicy` of a failed
         shard (default :data:`DEFAULT_RETRY_POLICY`).
@@ -211,7 +203,6 @@ class ShardedExecutor:
         *,
         backend: str | None = None,
         assignment: np.ndarray | None = None,
-        timing: bool = True,
         retry: RetryPolicy | None = None,
     ) -> None:
         # Lifecycle flags first: ``close``/``__del__`` must be safe on an
@@ -233,7 +224,6 @@ class ShardedExecutor:
 
         self.shape = matrix.shape
         self.backend = _resolve(backend)
-        self.timing = timing
         if retry is None:
             retry = DEFAULT_RETRY_POLICY
         elif not isinstance(retry, RetryPolicy):
@@ -248,23 +238,9 @@ class ShardedExecutor:
 
         if n_shards is None or n_shards == "auto":
             n_shards = env_shard_count() or auto_shard_count(matrix.nnz)
-        elif n_shards == "tuned":
-            # The measured auto-tuner decides the shard count for this
-            # matrix-and-backend pair (cached decisions make repeat
-            # construction O(1)).  Row shards execute canonical COO
-            # slices regardless of the input format, so the format leg
-            # of the grid is pinned to the CSR baseline.
-            from repro.tuner import tune as _tune
-
-            n_shards = _tune(
-                matrix,
-                formats=(BASELINE_TUNE_FORMAT,),
-                backends=(self.backend,),
-            ).n_shards
         if not isinstance(n_shards, int) or isinstance(n_shards, bool):
             raise ValidationError(
-                f"n_shards must be an int, 'auto', 'tuned' or None, "
-                f"got {n_shards!r}"
+                f"n_shards must be an int, 'auto' or None, got {n_shards!r}"
             )
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
@@ -410,21 +386,16 @@ class ShardedExecutor:
 
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``out = A @ x``, shards in parallel, bit-identical per row."""
-        x = check_vector(x, self.n_cols)
-        out = self._check_out(out, (self.n_rows,))
-        self._run(x, out, batched=False)
-        return out
+        return self._run(x, out, batched=False)
 
     def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Batched ``out = A @ X``; the RHS is normalised once for all
-        shards (a Fortran-ordered ``X`` costs one pooled staging copy
-        here, not one per shard)."""
-        X = self._normalize_rhs(X)
-        out = self._check_out(out, (self.n_rows, X.shape[1]))
-        self._run(X, out, batched=True)
-        return out
+        """Batched ``out = A @ X``; the RHS goes through the plans' own
+        :func:`~repro.exec.plan.prepare_rhs` once for all shards (a
+        Fortran-ordered ``X`` costs one pooled staging copy here, not
+        one per shard)."""
+        return self._run(X, out, batched=True)
 
-    def _run(self, rhs: np.ndarray, out: np.ndarray, *, batched: bool) -> None:
+    def _run(self, rhs, out, *, batched: bool) -> np.ndarray:
         if self._closed:
             raise ExecutorClosedError("executor is closed")
         with self._call_lock:
@@ -433,6 +404,15 @@ class ShardedExecutor:
             # fails loudly here instead of submitting to a shut pool.
             if self._closed:
                 raise ExecutorClosedError("executor is closed")
+            # Inputs are checked under the lock too: the staged RHS is
+            # executor state, shared by every call.
+            if batched:
+                rhs = prepare_rhs(
+                    rhs, self.n_cols, self._workspace, "spmm:rhs"
+                )
+            else:
+                rhs = check_vector(rhs, self.n_cols)
+            out = check_out_buffer(out, (self.n_rows, *rhs.shape[1:]))
             if self._matrix.data_version != self._data_version:
                 self._build_shards()
                 self._event(
@@ -443,7 +423,7 @@ class ShardedExecutor:
             if not active:
                 out.fill(0.0)
                 self.executions += 1
-                return
+                return out
             # The caller's thread takes the first shard; the pool covers
             # the rest — n shards occupy exactly n threads.
             futures = [
@@ -483,6 +463,7 @@ class ShardedExecutor:
             self.executions += 1
             if _metrics._ENABLED:
                 self._report_metrics(batched)
+        return out
 
     def _shard_task(
         self, shard: _Shard, rhs: np.ndarray, out: np.ndarray, batched: bool
@@ -498,7 +479,7 @@ class ShardedExecutor:
         both cost one boolean test.
         """
         policy = self.retry
-        tick = time.perf_counter() if self.timing else 0.0
+        tick = time.perf_counter()
         last: Exception | None = None
         for attempt in range(policy.max_attempts):
             if attempt:
@@ -558,8 +539,7 @@ class ShardedExecutor:
                 )
                 last = exc
                 continue
-            if self.timing:
-                self._shard_seconds[shard.index] = time.perf_counter() - tick
+            self._shard_seconds[shard.index] = time.perf_counter() - tick
             return
         raise ShardExecutionError(
             f"shard {shard.index} failed after {policy.max_attempts} attempts"
@@ -572,8 +552,6 @@ class ShardedExecutor:
             kind="spmm" if batched else "spmv",
             n_shards=self.n_shards,
         )
-        if not self.timing:
-            return
         seconds = self._shard_seconds
         active_seconds = [seconds[s.index] for s in self._active]
         for shard in self._active:
@@ -586,53 +564,6 @@ class ShardedExecutor:
             imbalance = max(active_seconds) / mean
             _metrics.METRICS.set_gauge("sharded.imbalance", imbalance)
             _metrics.METRICS.observe("sharded.imbalance.samples", imbalance)
-
-    def _normalize_rhs(self, X: np.ndarray) -> np.ndarray:
-        """Mirror of :meth:`SpMVPlan.normalize_rhs`: loud
-        :class:`ValidationError` on un-coercible dtypes, wrong rank,
-        negative strides and non-finite values; pooled staging keeps the
-        legal slow layouts (Fortran order, other real dtypes)
-        allocation-free in steady state."""
-        from repro.formats.base import coerce_array
-
-        if isinstance(X, np.ndarray):
-            if X.dtype.kind not in "buif" or X.dtype.itemsize > 8:
-                raise ValidationError(
-                    f"SpMM input has unsupported dtype {X.dtype}; expected "
-                    "a real numeric dtype convertible to float64"
-                )
-            if X.ndim != 2:
-                raise ValidationError(
-                    f"SpMM input must be 2-D, got {X.ndim}-D"
-                )
-            if any(stride < 0 for stride in X.strides):
-                raise ValidationError(
-                    "SpMM input has negative strides (a reversed view); "
-                    "pass a contiguous copy instead"
-                )
-        else:
-            X = coerce_array(X, "SpMM input", ndim=2)
-        if X.shape[0] != self.n_cols:
-            raise ValidationError(
-                f"SpMM input has {X.shape[0]} rows, expected {self.n_cols}"
-            )
-        if not (X.dtype == np.float64 and X.flags.c_contiguous):
-            staged = self._workspace.buffer("spmm:rhs", X.shape)
-            np.copyto(staged, X)
-            X = staged
-        if X.size and not all_finite(X):
-            raise ValidationError(
-                "SpMM input contains NaN or Inf; refusing to propagate "
-                "non-finite values"
-            )
-        return X
-
-    def _check_out(
-        self, out: np.ndarray | None, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        if out is None:
-            return np.empty(shape, dtype=np.float64)
-        return check_out_buffer(out, shape)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -211,10 +211,12 @@ class SparseMatrix(abc.ABC):
         """The measured-tuned execution engine for this matrix.
 
         Runs :func:`repro.tuner.tune` — model-pruned candidates, short
-        real measurements, persistent decision cache — and wraps the
-        winning ``format x backend x shard-count`` configuration in a
-        :class:`~repro.tuner.tuner.TunedEngine` with the same
-        ``spmv``/``spmm`` interface as a plan.  The engine is cached
+        real measurements, persistent decision cache — and builds the
+        winning ``format x backend x shard-count`` configuration with
+        :meth:`~repro.tuner.tuner.TuningDecision.build_engine`: the
+        decided format's :class:`~repro.exec.plan.SpMVPlan` for one
+        shard, a :class:`~repro.exec.ShardedExecutor` on this matrix for
+        more.  Either has ``spmv``/``spmm``/``close``.  The engine is cached
         per option set **and environment**: repeated calls return the
         identical object while the environment key (CPU count, affinity,
         backends, library versions) is unchanged, but a long-lived

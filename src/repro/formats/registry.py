@@ -176,9 +176,9 @@ def spec_for(matrix) -> FormatSpec | None:
 def model_kernel_map() -> dict[str, str]:
     """Live ``{model kernel -> format name}`` map from the registry.
 
-    This is what :data:`repro.tuner.tuner.MODEL_FORMAT` used to
-    hard-code; registering a format with a ``model_kernel`` gives it a
-    tuner grid slot with no tuner change.
+    The tuner maps the §5 model's pick onto a format through it, so
+    registering a format with a ``model_kernel`` gives it a tuner grid
+    slot with no tuner change.
     """
     return {
         spec.model_kernel: name

@@ -51,29 +51,29 @@ class _SetupEntry:
 
     The operator, its fingerprint, the cost-model kernels (one per
     kernel name, device and options) and the engines built on the
-    operator, all derived from the adjacency at ``version``.  ``lock``
+    operator — sharded executors per requested shard count, the tuned
+    engine — all derived from the adjacency at ``version``.  ``lock``
     is held for a whole run: plans and workspace pools serve one
     execution stream, so runs on the same adjacency queue here.
     """
 
     __slots__ = (
         "lock", "version", "operator", "fingerprint", "kernels",
-        "sharded_key", "sharded", "tuned",
+        "executors", "tuned",
     )
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.sharded = self.tuned = None
+        self.executors, self.tuned = {}, None
         self.drop()
 
     def drop(self) -> None:
         """Forget every derived object, closing the engines owned here."""
-        for engine in (self.sharded, self.tuned):
+        for engine in (*self.executors.values(), self.tuned):
             if engine is not None:
                 engine.close()
         self.version = self.operator = self.fingerprint = None
-        self.kernels = {}
-        self.sharded_key = self.sharded = self.tuned = None
+        self.kernels, self.executors, self.tuned = {}, {}, None
 
     def kernel(self, name, device, options, create):
         key = repr((name.lower(), device, sorted(options.items())))
@@ -84,11 +84,13 @@ class _SetupEntry:
         return spmv
 
     def sharded_executor(self, n_shards):
-        """The cached :class:`~repro.exec.ShardedExecutor` for the
-        *resolved* shard count and backend; a change in either (``"auto"``
-        under a new affinity mask, a new ``REPRO_SPMV_SHARDS``, a new
-        default backend) closes the old executor and builds its
-        replacement."""
+        """The cached :class:`~repro.exec.ShardedExecutor` of one
+        shard-count slot, keyed as requested: an int, ``"auto"``, or
+        ``None`` for the ``REPRO_SPMV_SHARDS`` override.  Slots coexist,
+        so runs alternating two counts reuse two executors.  A slot
+        whose resolution moves (``"auto"`` under a new affinity mask, a
+        new ``REPRO_SPMV_SHARDS``, a new default backend) closes its
+        executor and builds the replacement."""
         from repro.exec.backends import _resolve
         from repro.exec.sharded import (
             ShardedExecutor,
@@ -96,17 +98,20 @@ class _SetupEntry:
             env_shard_count,
         )
 
-        if n_shards == "auto":
-            n_shards = env_shard_count() or auto_shard_count(
-                self.operator.nnz
-            )
-        key = (n_shards, _resolve(None))
-        if self.sharded_key != key:
-            executor = ShardedExecutor(self.operator, key[0], backend=key[1])
-            if self.sharded is not None:
-                self.sharded.close()
-            self.sharded, self.sharded_key = executor, key
-        return self.sharded
+        count = n_shards
+        if n_shards is None:
+            count = env_shard_count()
+        elif n_shards == "auto":
+            count = env_shard_count() or auto_shard_count(self.operator.nnz)
+        backend = _resolve(None)
+        old = self.executors.get(n_shards)
+        if old is not None and (old.n_shards, old.backend) == (count, backend):
+            return old
+        executor = ShardedExecutor(self.operator, count, backend=backend)
+        if old is not None:
+            old.close()
+        self.executors[n_shards] = executor
+        return executor
 
 
 class RunSetup(NamedTuple):
@@ -225,14 +230,15 @@ def resolve_engine(
     forces the sharded executor underneath every mining call (the CI
     configuration).  ``n_shards`` (an int, or ``"auto"`` for the
     nnz-and-cores policy) takes the :class:`~repro.exec.ShardedExecutor`
-    cached on the setup ``entry``.  A caller-owned ``executor``
-    (pre-built on the same operator, reusable across runs) is used
-    as-is and left open.  ``tune=True`` takes the operator's measured
-    auto-tuned engine (:meth:`~repro.formats.base.SparseMatrix.tuned_plan`,
-    the fastest ``format x backend x shard-count`` configuration) —
-    mutually exclusive with ``executor``/``n_shards``, which pin what
-    the tuner would decide.  Nothing is built per run and nothing is
-    closed here.
+    the setup ``entry`` caches for that count.  A caller-owned
+    ``executor`` (pre-built on the same operator, reusable across runs)
+    is used as-is and left open.  ``tune=True`` takes the operator's
+    measured auto-tuned engine
+    (:meth:`~repro.formats.base.SparseMatrix.tuned_plan`, built by
+    :meth:`~repro.tuner.TuningDecision.build_engine`: a plan for one
+    shard, a ``ShardedExecutor`` for more) — mutually exclusive with
+    ``executor``/``n_shards``, which pin what the tuner would decide.
+    Nothing is built per run and nothing is closed here.
     """
     from repro.exec.sharded import env_shard_count
 
@@ -255,10 +261,8 @@ def resolve_engine(
                 f"operator shape {entry.operator.shape}"
             )
         return executor
-    if n_shards is None:
-        n_shards = env_shard_count()
-        if n_shards is None:
-            return kernel
+    if n_shards is None and env_shard_count() is None:
+        return kernel
     return entry.sharded_executor(n_shards)
 
 

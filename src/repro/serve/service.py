@@ -120,17 +120,17 @@ class QueryReply:
 
 
 def _replay_engines(run):
-    """A factory of private engines in ``run.engine``'s configuration
-    on ``run.operator``: a reply's ``solo()`` outlives the service's
-    own engine, which eviction, ``close()`` or an update closes."""
+    """A factory of engines in ``run.engine``'s configuration on
+    ``run.operator``: a reply's ``solo()`` outlives the service's own
+    executor, which eviction, ``close()`` or an update closes, so a
+    sharded run replays on a private executor of the same shard count
+    and backend.  A plan or kernel (tuned or not) owns no threads and
+    is never closed: the replay runs on it."""
     operator, engine = run.operator, run.engine
-    decision = getattr(engine, "decision", None)
-    if decision is not None:
-        return lambda: decision.build_engine(operator)
     if isinstance(engine, ShardedExecutor):
         n_shards, backend = engine.n_shards, engine.backend
         return lambda: ShardedExecutor(operator, n_shards, backend=backend)
-    return lambda: operator  # the operator's own cached plan
+    return lambda: engine
 
 
 class _GraphEntry:
@@ -444,20 +444,20 @@ class QueryService:
         self, entry, run, replay, batch, result: WalkResult, *, latency,
         width,
     ) -> QueryReply:
-        n, operator = entry.n, run.operator
+        n, engine = entry.n, run.engine
         alpha, tol, max_iter = batch.alpha, batch.tol, batch.max_iter
         seed = result.seed
 
         def solo() -> WalkResult:
-            engine = replay()
+            replayed = replay()
             try:
                 return seeded_solo(
-                    engine, n, seed, alpha=alpha, tol=tol,
+                    replayed, n, seed, alpha=alpha, tol=tol,
                     max_iter=max_iter,
                 )
             finally:
-                if engine is not operator:
-                    engine.close()
+                if replayed is not engine:
+                    replayed.close()
 
         return QueryReply(
             graph=entry.name,

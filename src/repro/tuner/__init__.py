@@ -12,8 +12,10 @@ The tuner is model-seeded and measurement-decided:
 1. §5 kernel selection (:func:`repro.core.selector.select_kernel`) plus
    matrix statistics prune the format grid down to the model's pick and
    the CSR baseline;
-2. the surviving ``format x backend x shard-count`` candidates are timed
-   with short real SpMV runs (warmup plus median-of-k), every
+2. the surviving ``format x backend x shard-count`` candidates — one
+   per distinct engine — are timed with short real SpMV runs (warmup
+   plus median-of-k) on the engine
+   :meth:`~repro.tuner.tuner.TuningDecision.build_engine` serves, every
    measurement reported through ``repro.obs``;
 3. the winning :class:`~repro.tuner.tuner.TuningDecision` is persisted
    in an on-disk JSON cache keyed by a deterministic matrix fingerprint
@@ -36,8 +38,6 @@ from repro.tuner.fingerprint import (
     spec_fingerprint,
 )
 from repro.tuner.tuner import (
-    MODEL_FORMAT,
-    TunedEngine,
     TuningDecision,
     candidate_grid,
     tune,
@@ -45,8 +45,6 @@ from repro.tuner.tuner import (
 
 __all__ = [
     "CACHE_ENV",
-    "MODEL_FORMAT",
-    "TunedEngine",
     "TuningCache",
     "TuningDecision",
     "candidate_grid",

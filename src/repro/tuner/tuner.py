@@ -6,16 +6,19 @@ matrix's SpMV fastest on this host:
 
 1. **Prune with the model.**  §5 kernel selection
    (:func:`repro.core.selector.select_kernel`) predicts the best kernel
-   class; :data:`MODEL_FORMAT` maps that onto a host storage format,
-   which is kept alongside the always-cheap CSR baseline.  Matrix
-   statistics veto candidates the model cannot see — ELL on a
+   class; the registry's live kernel map
+   (:func:`repro.formats.registry.model_kernel_map`) turns that into a
+   host storage format, kept alongside the always-cheap CSR baseline.
+   Matrix statistics veto candidates the model cannot see — ELL on a
    padding-explosive degree distribution is skipped before it can
    allocate ``rows x max_degree`` storage.
-2. **Measure the survivors.**  Every surviving ``format x backend x
-   shard-count`` triple is timed with short real runs of the engine it
-   would actually use — the format's cached
-   :class:`~repro.exec.plan.SpMVPlan` for one shard, a
-   :class:`~repro.exec.ShardedExecutor` otherwise — warmup first, then
+2. **Measure the distinct survivors.**  The surviving ``format x
+   backend x shard-count`` grid keeps one candidate per distinct
+   engine: a multi-shard candidate runs CSR row ranges whatever the
+   format, and a ``format_free`` backend (scipy) compiles every format
+   to one CSR plan, so the format is only measured where it changes
+   the engine.  Each candidate is timed on the engine
+   :meth:`TuningDecision.build_engine` serves — warmup first, then
    median-of-k.  Each measurement is a ``tuner.measure`` trace span and
    a ``tuner.measure.seconds`` histogram sample.
 3. **Persist the decision** in the :class:`~repro.tuner.cache.TuningCache`
@@ -52,26 +55,10 @@ __all__ = [
     "DEFAULT_REPEATS",
     "DEFAULT_WARMUP",
     "ELL_MAX_PADDING_RATIO",
-    "MODEL_FORMAT",
-    "TunedEngine",
     "TuningDecision",
     "candidate_grid",
     "tune",
 ]
-
-#: §5 kernel classes mapped onto the host storage format that realises
-#: them: the CSR-vector kernel runs off CSR arrays, ELL off the padded
-#: column-major layout, and the tile-composite kernel's CSR+ELL split
-#: is what HYB stores.  Kept as the frozen classic-trio snapshot for
-#: back-compat; the grid itself prunes against the **live**
-#: :func:`repro.formats.registry.model_kernel_map`, so a format
-#: registered with a ``model_kernel`` joins the model-seeded shortlist
-#: with no change here.
-MODEL_FORMAT = {
-    "csr-vector": "csr",
-    "ell": "ell",
-    "tile-composite": "hyb",
-}
 
 #: CSR is always measured — the universal baseline no model prediction
 #: is allowed to prune away.
@@ -159,77 +146,27 @@ class TuningDecision:
             candidates=list(payload.get("candidates", [])),
         )
 
-    def build_engine(self, matrix) -> "TunedEngine":
-        """Materialise the decided configuration for this matrix."""
-        return TunedEngine(matrix, self)
+    def build_engine(self, matrix):
+        """The one constructor of this configuration's engine.
 
+        One shard: the decided format's plan on the decided backend, an
+        :class:`~repro.exec.plan.SpMVPlan`.  More: a
+        :class:`~repro.exec.ShardedExecutor` on ``matrix`` itself, which
+        runs CSR row ranges of its canonical COO whatever the format —
+        so nothing is converted.  Both have ``spmv``/``spmm``/``close``
+        and work as context managers; closing a plan is a no-op.
+        """
+        if self.n_shards > 1:
+            from repro.exec.sharded import ShardedExecutor
 
-class TunedEngine:
-    """The decided configuration, behind the engine ``spmv``/``spmm``
-    interface.
-
-    A single-shard decision rides the format's own cached plan (the
-    dispatch-free path); a multi-shard one owns a
-    :class:`~repro.exec.ShardedExecutor` on the converted matrix.
-    Context-manager exit (or :meth:`close`) releases the executor's
-    worker threads; closing a single-shard engine is a no-op.
-    """
-
-    def __init__(self, matrix, decision: TuningDecision) -> None:
-        from repro.exec.sharded import ShardedExecutor
-
-        self.decision = decision
-        self.shape = matrix.shape
-        self.formatted = to_format(matrix, decision.format)
-        if decision.n_shards == 1:
-            self._plan = self.formatted.spmv_plan(decision.backend)
-            self._executor = None
-        else:
-            self._plan = None
-            self._executor = ShardedExecutor(
-                self.formatted,
-                decision.n_shards,
-                backend=decision.backend,
+            return ShardedExecutor(
+                matrix, self.n_shards, backend=self.backend
             )
-
-    @property
-    def n_shards(self) -> int:
-        return self.decision.n_shards
-
-    @property
-    def nnz(self) -> int:
-        return self.formatted.nnz
-
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._executor is not None:
-            return self._executor.spmv(x, out=out)
-        return self._plan.execute(x, out=out)
-
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._executor is not None:
-            return self._executor.spmm(X, out=out)
-        return self._plan.execute_many(X, out=out)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-
-    def __enter__(self) -> "TunedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        d = self.decision
-        return (
-            f"TunedEngine(format={d.format!r}, backend={d.backend!r}, "
-            f"n_shards={d.n_shards})"
-        )
+        return to_format(matrix, self.format).spmv_plan(self.backend)
 
 
 def _pruned_formats(
-    matrix, device: DeviceSpec, table
+    matrix, device: DeviceSpec
 ) -> tuple[list[str], str | None, dict[str, str]]:
     """Model-seeded format shortlist: the §5 pick plus the CSR
     baseline plus any registry candidates, with statistics-based
@@ -250,7 +187,7 @@ def _pruned_formats(
     candidates = tuple(
         dict.fromkeys((*SELECTABLE, *kernel_format))
     )
-    choice = select_kernel(matrix, device, table=table, candidates=candidates)
+    choice = select_kernel(matrix, device, candidates=candidates)
     formats = [BASELINE_FORMAT]
     picked = kernel_format.get(choice.kernel)
     if picked and picked not in formats:
@@ -285,19 +222,27 @@ def candidate_grid(
     formats: tuple | list | None = None,
     backends: tuple | list | None = None,
     shard_counts: tuple | list | None = None,
-    table=None,
 ) -> tuple[list[tuple[str, str, int]], dict]:
-    """The pruned ``format x backend x shard-count`` grid.
+    """The pruned ``format x backend x shard-count`` grid, one
+    candidate per distinct engine.
 
     Returns the candidate triples plus a meta dict recording the model
     kernel that seeded the pruning and any statistics-based skips.
     Caller-pinned ``formats`` bypass the model entirely.  Backends are
     discovered from the registry, so the numba ``native`` backend joins
     the grid automatically wherever it is importable.
+
+    A candidate is *format-free* when its engine ignores the format:
+    more than one shard (the executor runs CSR row ranges of the
+    canonical COO) or a ``format_free`` backend (scipy compiles every
+    format to one CSR plan).  Only the first format-free candidate of
+    each ``(backend, n_shards)`` is kept, so it carries the CSR
+    baseline's label, or the first caller-pinned format.
     """
     from repro.exec.backends import (
         available_backends,
         default_backend_name,
+        get_backend,
     )
     from repro.exec.sharded import auto_shard_count
 
@@ -306,7 +251,7 @@ def candidate_grid(
     skipped: dict[str, str] = {}
     if formats is None:
         format_list, model_kernel, skipped = _pruned_formats(
-            matrix, device, table
+            matrix, device
         )
     else:
         format_list = [str(f).lower() for f in formats]
@@ -330,12 +275,14 @@ def candidate_grid(
         shard_list = sorted({int(s) for s in shard_counts})
         if shard_list and shard_list[0] < 1:
             raise ValidationError("shard counts must be >= 1")
-    candidates = [
-        (fmt, backend, n_shards)
-        for fmt in format_list
-        for backend in backend_list
-        for n_shards in shard_list
-    ]
+    engines = {}
+    for fmt in format_list:
+        for backend in backend_list:
+            for n_shards in shard_list:
+                free = n_shards > 1 or get_backend(backend).format_free
+                key = (None if free else fmt, backend, n_shards)
+                engines.setdefault(key, (fmt, backend, n_shards))
+    candidates = list(engines.values())
     meta = {"model_kernel": model_kernel, "skipped": skipped}
     return candidates, meta
 
@@ -351,30 +298,16 @@ def _measure(
     warmup: int,
     repeats: int,
 ) -> float:
-    """Median wall seconds of one real-SpMV candidate run."""
-    from repro.exec.sharded import ShardedExecutor
-
-    formatted = to_format(matrix, fmt)
-    executor = None
-    try:
-        if n_shards == 1:
-            plan = formatted.spmv_plan(backend)
-
-            def run() -> None:
-                plan.execute(x, out=out)
-
-        else:
-            executor = ShardedExecutor(formatted, n_shards, backend=backend)
-
-            def run() -> None:
-                executor.spmv(x, out=out)
-
+    """Median wall seconds of one SpMV on the engine a decision for
+    this configuration would serve."""
+    candidate = TuningDecision("", fmt, backend, n_shards, float("nan"))
+    with candidate.build_engine(matrix) as engine:
         for _ in range(warmup):
-            run()
+            engine.spmv(x, out=out)
         # Calibrate the per-sample batch size so each sample outweighs
         # timer granularity and scheduling noise.
         tick = time.perf_counter()
-        run()
+        engine.spmv(x, out=out)
         once = time.perf_counter() - tick
         inner = max(
             1, min(1024, int(MIN_SAMPLE_SECONDS / max(once, 1e-9)))
@@ -383,11 +316,8 @@ def _measure(
         for _ in range(repeats):
             tick = time.perf_counter()
             for _ in range(inner):
-                run()
+                engine.spmv(x, out=out)
             samples.append((time.perf_counter() - tick) / inner)
-    finally:
-        if executor is not None:
-            executor.close()
     return statistics.median(samples)
 
 
@@ -424,10 +354,8 @@ def tune(
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
     cache: TuningCache | str | None = "env",
-    use_cache: bool = True,
     force: bool = False,
     revalidate: bool | float = False,
-    table=None,
 ) -> TuningDecision:
     """Pick (and persist) the fastest execution configuration.
 
@@ -485,7 +413,7 @@ def tune(
             )
     signature = degree_signature(matrix) if cache.enabled else None
 
-    if use_cache and not force:
+    if not force:
         hit = cache.get(fingerprint, environment, options)
         if hit is not None:
             try:
@@ -512,7 +440,6 @@ def tune(
         formats=formats,
         backends=backends,
         shard_counts=shard_counts,
-        table=table,
     )
     rng = np.random.default_rng(0)
     x = rng.random(matrix.n_cols)
@@ -526,11 +453,7 @@ def tune(
             record = {
                 "format": fmt, "backend": backend, "n_shards": n_shards,
             }
-            reason = meta["skipped"].get(fmt)
-            if reason is not None:  # pragma: no cover - defensive
-                record["error"] = reason
-                rows.append(record)
-                continue
+            rows.append(record)
             try:
                 with trace(
                     "tuner.measure",
@@ -542,10 +465,8 @@ def tune(
                     )
             except FormatNotApplicableError as exc:
                 record["error"] = str(exc)
-                rows.append(record)
                 continue
             record["seconds"] = seconds
-            rows.append(record)
             if _metrics._ENABLED:
                 _metrics.METRICS.observe(
                     "tuner.measure.seconds", seconds,
@@ -571,11 +492,10 @@ def tune(
         model_kernel=meta["model_kernel"],
         candidates=rows,
     )
-    if use_cache:
-        cache.put(
-            fingerprint, environment, options, decision.to_dict(),
-            signature=signature,
-        )
+    cache.put(
+        fingerprint, environment, options, decision.to_dict(),
+        signature=signature,
+    )
     _count("tuner.decisions", source="measured")
     return decision
 

@@ -369,6 +369,69 @@ def test_contended_scratch_is_reused_across_thread_churn():
     assert after_second == after_first
 
 
+def test_staged_spmm_inputs_are_reused_across_thread_churn():
+    """Two waves of 8 live threads call ``execute_many`` on one CSR
+    plan with a Fortran-ordered ``X`` (which must be staged), all
+    holding their staging buffer at once: the staged copies ride the
+    scratch claims, so wave 2 reuses wave 1's and the pool keeps one
+    per peak concurrent caller — not one per thread that ever
+    called."""
+    import threading
+
+    matrix = race_matrix("csr", n=4096, nnz=40_000)
+    plan = matrix.spmv_plan("numpy")
+    X = np.asfortranarray(
+        np.random.default_rng(7).standard_normal((matrix.n_cols, 4))
+    )
+    want = plan.execute_many(np.ascontiguousarray(X))
+    n_threads = 8
+    buffer = plan.pool.buffer
+    finish = threading.Event()
+    mismatches = []
+
+    def staged():
+        return [n for n in plan.pool._buffers if n.startswith("spmm:rhs")]
+
+    def run_wave():
+        barrier = threading.Barrier(n_threads)
+
+        def held(name, *args, **kwargs):
+            if name.startswith("spmm:rhs"):
+                barrier.wait(timeout=60)
+            return buffer(name, *args, **kwargs)
+
+        done = threading.Barrier(n_threads + 1)
+
+        def worker():
+            try:
+                if not np.array_equal(plan.execute_many(X), want):
+                    mismatches.append("spmm")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                mismatches.append(repr(exc))
+            done.wait(timeout=60)
+            finish.wait(timeout=60)
+
+        plan.pool.buffer = held
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        done.wait(timeout=60)
+        plan.pool.buffer = buffer
+        return threads, len(staged())
+
+    try:
+        first, after_first = run_wave()
+        second, after_second = run_wave()
+    finally:
+        finish.set()
+    for thread in first + second:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in first + second)
+    assert mismatches == []
+    assert after_first == n_threads  # the stagings overlapped
+    assert after_second <= n_threads
+
+
 # ----------------------------------------------------------------------
 # Backend registry
 # ----------------------------------------------------------------------

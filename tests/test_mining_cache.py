@@ -70,12 +70,12 @@ def graph():
 def test_repeat_runs_reuse_operator_kernel_and_executor(graph):
     first = pagerank(graph, n_shards=2)
     cached = entry(graph)
-    operator, executor = cached.operator, cached.sharded
+    operator, executor = cached.operator, cached.executors[2]
     (kernel,) = cached.kernels.values()
     second = pagerank(graph, n_shards=2)
     assert cached.operator is operator
     assert list(cached.kernels.values()) == [kernel]
-    assert cached.sharded is executor
+    assert cached.executors[2] is executor
     assert executor.executions == first.iterations + second.iterations
     assert_same(second, first)
     assert_same(second, pagerank(fresh(graph), n_shards=2))
@@ -164,7 +164,7 @@ def test_concurrent_runs_on_a_shared_adjacency_are_bitwise(
 def test_dynamic_update_rebuilds_and_closes_the_old_executor(graph):
     dyn = DynamicMatrix(fresh(graph))
     pagerank(dyn, n_shards=2)
-    old = entry(dyn).sharded
+    old = entry(dyn).executors[2]
     old_operator = entry(dyn).operator
     dyn.apply_updates(seeded_update_stream(dyn, 64, seed=3))
     warm = pagerank(dyn, n_shards=2)
@@ -182,7 +182,7 @@ def test_dynamic_update_rebuilds_and_closes_the_old_executor(graph):
 def test_shard_env_change_replaces_the_executor(graph, monkeypatch):
     monkeypatch.setenv("REPRO_SPMV_SHARDS", "1")
     one = pagerank(graph)
-    old = entry(graph).sharded
+    old = entry(graph).executors[None]
     monkeypatch.setenv("REPRO_SPMV_SHARDS", "3")
     three = pagerank(graph)
     assert one.extra["n_shards"] == 1
@@ -205,7 +205,7 @@ def test_auto_and_backend_resolve_per_run(graph, monkeypatch):
     two = pagerank(graph, n_shards="auto")
     assert (one.extra["n_shards"], two.extra["n_shards"]) == (1, 2)
     assert_same(two, one)
-    executor = entry(graph).sharded
+    executor = entry(graph).executors["auto"]
     others = [b for b in available_backends() if b != executor.backend]
     if not others:
         pytest.skip("only one backend is available")
@@ -217,10 +217,37 @@ def test_auto_and_backend_resolve_per_run(graph, monkeypatch):
         reference = pagerank(fresh(graph), n_shards=1)
     finally:
         set_default_backend(prior)
-    assert entry(graph).sharded.backend == others[0]
+    assert entry(graph).executors["auto"].backend == others[0]
     with pytest.raises(ExecutorClosedError):
         executor.spmv(np.ones(executor.n_cols))
     assert_same(switched, reference)
+
+
+def test_explicit_shard_counts_keep_their_own_executors(
+    graph, monkeypatch
+):
+    """Two users of one matrix asking for different shard counts (a
+    service registered with ``n_shards=2`` beside ``pagerank(...,
+    n_shards=3)``) reuse one executor each instead of rebuilding on
+    every switch."""
+    import repro.exec.sharded as sharded
+
+    monkeypatch.delenv("REPRO_SPMV_SHARDS", raising=False)
+    builds = []
+    build = sharded.ShardedExecutor.__init__
+
+    def counting(self, matrix, n_shards, **kwargs):
+        builds.append(n_shards)
+        build(self, matrix, n_shards, **kwargs)
+
+    monkeypatch.setattr(sharded.ShardedExecutor, "__init__", counting)
+    runs = [
+        pagerank(graph, n_shards=n) for _ in range(3) for n in (2, 3)
+    ]
+    assert builds == [2, 3]
+    assert sorted(entry(graph).executors) == [2, 3]
+    for result in runs[1:]:
+        assert_same(result, runs[0])
 
 
 def test_kernel_entries_are_keyed_by_options_and_device(graph):

@@ -582,6 +582,45 @@ def test_hammer_shared_executor_from_eight_threads():
         assert ex.executions == n_threads * 2 + n_threads * 25 * 2
 
 
+def test_concurrent_staged_spmm_inputs_do_not_clobber_each_other():
+    """Fortran-ordered right-hand sides are staged into the executor's
+    one workspace buffer, so staging must happen under the call lock:
+    staged outside it, a second caller would overwrite the first one's
+    input while its shards read it."""
+    import sys
+
+    n_threads = 8
+    matrix = random_coo(400, 400, 4000, seed=59)
+    rng = np.random.default_rng(60)
+    Xs = [
+        np.asfortranarray(rng.standard_normal((matrix.n_cols, 4)))
+        for _ in range(n_threads)
+    ]
+    prior = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ShardedExecutor(matrix, 2) as ex:
+            expected = [ex.spmm(np.ascontiguousarray(X)) for X in Xs]
+            mismatches = []
+
+            def worker(i: int) -> None:
+                for _ in range(20):
+                    if not np.array_equal(ex.spmm(Xs[i]), expected[i]):
+                        mismatches.append(i)
+
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        sys.setswitchinterval(prior)
+    assert mismatches == []
+
+
 def test_concurrent_lazy_plan_build_happens_once():
     """A cold plan cache hit from eight threads builds exactly one plan."""
     from repro.exec.plan import PLAN_CACHE_STATS

@@ -16,6 +16,7 @@ The contracts under test:
 """
 
 import json
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -175,6 +176,61 @@ class TestCandidateGrid:
         with pytest.raises(ValidationError):
             candidate_grid(matrix, shard_counts=(0,))
 
+    def test_format_free_candidates_keep_the_baseline_label(self, matrix):
+        candidates, _ = candidate_grid(
+            matrix, backends=("numpy", "scipy"), shard_counts=(1, 2)
+        )
+        formats = [f for f, b, s in candidates if (b, s) == ("numpy", 1)]
+        assert formats[0] == "csr"
+        assert ("csr", "scipy", 1) in candidates
+        for backend, n_shards in (("numpy", 2), ("scipy", 2)):
+            assert [
+                f for f, b, s in candidates if (b, s) == (backend, n_shards)
+            ] == ["csr"]
+        pinned, _ = candidate_grid(
+            matrix, formats=("hyb", "ell"), backends=("scipy",),
+            shard_counts=(1,),
+        )
+        assert pinned == [("hyb", "scipy", 1)]
+
+    @pytest.mark.parametrize("nodes, edges, full, distinct", [
+        (65536, 600_000, 16, 7),
+        (4096, 65_536, 8, 5),
+    ])
+    def test_default_grid_builds_distinct_engines(
+        self, monkeypatch, nodes, edges, full, distinct
+    ):
+        """Every default-grid candidate builds a different engine: the
+        format is only crossed where it changes what runs (numpy, one
+        shard).  ``full`` is the size of the whole ``format x backend x
+        shard-count`` cross; the larger R-MAT gets two shards from the
+        auto policy only on two cores."""
+        from repro.exec.backends import available_backends
+
+        if os.environ.get("REPRO_SPMV_BACKEND") or (
+            available_backends() != ["numpy", "scipy"]
+        ):
+            pytest.skip("grid sizes assume the numpy + scipy backends")
+        monkeypatch.setattr(
+            "repro.exec.sharded.available_cpu_count", lambda: 2
+        )
+        graph = rmat_graph(nodes, edges, seed=7)
+        candidates, _ = candidate_grid(graph)
+        formats = {f for f, b, s in candidates if b == "numpy" and s == 1}
+        shard_counts = {s for _f, _b, s in candidates}
+        assert len(formats) * 2 * len(shard_counts) == full
+        assert len(candidates) == distinct
+        if graph.nnz > 100_000:
+            return  # the engine builds below run on the small R-MAT
+        kinds = []
+        for fmt, backend, n_shards in candidates:
+            with TuningDecision(
+                "x", fmt, backend, n_shards, 0.0
+            ).build_engine(graph) as engine:
+                kinds.append((type(engine).__name__, engine.backend,
+                              getattr(engine, "n_shards", 1)))
+        assert len(set(kinds)) == len(kinds)
+
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +285,55 @@ class TestTune:
         quick_tune(matrix)
         other = quick_tune(matrix, formats=("csr",))
         assert not other.from_cache
+
+    def test_measure_times_the_engine_build_engine_serves(
+        self, matrix, monkeypatch
+    ):
+        built = []
+        build = TuningDecision.build_engine
+
+        def recording(self, m):
+            engine = build(self, m)
+            built.append(((self.format, self.backend, self.n_shards),
+                          engine))
+            return engine
+
+        monkeypatch.setattr(TuningDecision, "build_engine", recording)
+        decision = quick_tune(matrix, cache=None)
+        measured = [
+            (c["format"], c["backend"], c["n_shards"])
+            for c in decision.candidates if "seconds" in c
+        ]
+        assert [config for config, _ in built] == measured
+        for _, engine in built:
+            assert engine.executions >= 1
+
+    def test_build_engine_is_a_plan_or_an_executor(self, matrix, monkeypatch):
+        import repro.tuner.tuner as tuner_mod
+        from repro.exec.plan import SpMVPlan
+
+        conversions = []
+        convert = tuner_mod.to_format
+
+        def counting(m, fmt):
+            conversions.append(fmt)
+            return convert(m, fmt)
+
+        monkeypatch.setattr(tuner_mod, "to_format", counting)
+        x = np.random.default_rng(3).random(matrix.n_cols)
+        one = TuningDecision("x", "hyb", "numpy", 1, 0.0)
+        with one.build_engine(matrix) as plan:
+            assert isinstance(plan, SpMVPlan)
+            np.testing.assert_allclose(plan.spmv(x), matrix.to_dense() @ x)
+        assert conversions == ["hyb"]
+        many = TuningDecision("x", "hyb", "numpy", 2, 0.0)
+        with many.build_engine(matrix) as executor:
+            assert isinstance(executor, ShardedExecutor)
+            assert executor.n_shards == 2
+            np.testing.assert_array_equal(
+                executor.spmv(x), matrix.spmv_plan("numpy").execute(x)
+            )
+        assert conversions == ["hyb"]  # no copy for the sharded build
 
     def test_rejects_bad_budget(self, matrix):
         with pytest.raises(ValidationError):
@@ -319,7 +424,7 @@ class TestDecisionSerialisation:
 
 
 # ----------------------------------------------------------------------
-# Integration: tuned_plan, mining tune=, sharded "tuned"
+# Integration: tuned_plan, mining tune=
 # ----------------------------------------------------------------------
 
 
@@ -331,13 +436,9 @@ class TestIntegration:
         x = np.random.default_rng(0).random(m.n_cols)
         np.testing.assert_allclose(engine.spmv(x), m.to_dense() @ x)
 
-    def test_sharded_executor_tuned(self, matrix):
-        with ShardedExecutor(matrix, "tuned") as executor:
-            assert executor.n_shards >= 1
-            x = np.random.default_rng(1).random(matrix.n_cols)
-            np.testing.assert_array_equal(
-                executor.spmv(x), matrix.spmv(x)
-            )
+    def test_sharded_executor_has_no_tuned_shard_count(self, matrix):
+        with pytest.raises(ValidationError):
+            ShardedExecutor(matrix, "tuned")
 
     def test_pagerank_tune_matches_untuned(self, matrix):
         tuned = pagerank(matrix, tune=True, tol=1e-6)
