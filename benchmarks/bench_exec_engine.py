@@ -9,9 +9,12 @@ Runs a fixed-iteration PageRank power method over an R-MAT graph twice:
   precomputed segments, pooled buffers, ``out=`` writes, double-buffered
   iterates).
 
-Also times the batched SpMM path against column-wise SpMV calls and
+Also times the batched SpMM path against column-wise SpMV calls,
 verifies the zero-allocation steady state (the workspace pool stops
-allocating after the first execution).
+allocating after the first execution), and records cold calls of the
+production entry points — ``pagerank(n_shards="auto")`` for one
+iteration and to convergence, ``random_walk_with_restart()`` and
+``hits()`` — each on a copy of the graph nothing is cached on.
 
 Results go to ``benchmarks/results/BENCH_exec.json``.  ``--quick`` runs
 a small graph and **fails** (exit 1) when the engine speedup drops below
@@ -33,10 +36,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from harness import bench_header  # noqa: E402
 from repro.exec.backends import default_backend_name  # noqa: E402
 from repro.exec.plan import PLAN_CACHE_STATS  # noqa: E402
+from repro.formats.coo import COOMatrix  # noqa: E402
 from repro.formats.csr import CSRMatrix  # noqa: E402
 from repro.graphs.rmat import rmat_graph  # noqa: E402
-from repro.mining.pagerank import pagerank_operator  # noqa: E402
+from repro.mining.hits import hits  # noqa: E402
+from repro.mining.pagerank import (  # noqa: E402
+    pagerank,
+    pagerank_csc,
+    pagerank_operator,
+)
 from repro.mining.power_method import l1_delta  # noqa: E402
+from repro.mining.rwr import random_walk_with_restart  # noqa: E402
+from repro.tuner.fingerprint import matrix_fingerprint  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,6 +59,20 @@ QUICK_NODES, QUICK_EDGES, QUICK_ITERATIONS = 1 << 13, 150_000, 30
 QUICK_MIN_SPEEDUP = 1.5
 
 DAMPING = 0.85
+
+#: Cold calls per entry point (full, quick); the record keeps them all
+#: and their median.
+COLD_REPS = (3, 5)
+
+#: The cold calls: production entry points on a never-seen matrix.
+COLD_CALLS = {
+    "pagerank_auto_one_iteration": lambda g: pagerank(
+        g, n_shards="auto", max_iter=1
+    ),
+    "pagerank_auto_converged": lambda g: pagerank(g, n_shards="auto"),
+    "random_walk_with_restart": random_walk_with_restart,
+    "hits": hits,
+}
 
 
 def legacy_spmv(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
@@ -123,6 +148,52 @@ def bench_spmm(csr: CSRMatrix, k: int, repeats: int) -> dict:
     }
 
 
+def fresh_copy(graph: COOMatrix) -> COOMatrix:
+    """Same contents, new object: no plan, length or setup cached."""
+    return COOMatrix(
+        graph.rows.copy(), graph.cols.copy(), graph.data.copy(), graph.shape
+    )
+
+
+def bench_cold(graph: COOMatrix, reps: int) -> dict:
+    """Cold calls of each entry point, plus the parts of a cold
+    one-iteration PageRank timed on their own: the source-major
+    operator, its fingerprint and one SpMV on its plan (the rest is
+    the power loop, result and setup bookkeeping)."""
+    out = {}
+    for name, call in COLD_CALLS.items():
+        seconds, result = [], None
+        for _ in range(reps):
+            fresh = fresh_copy(graph)
+            start = time.perf_counter()
+            result = call(fresh)
+            seconds.append(time.perf_counter() - start)
+        out[name] = {
+            "seconds_median": float(np.median(seconds)),
+            "seconds": seconds,
+            "iterations": result.iterations,
+            "n_shards": result.extra["n_shards"],
+        }
+    parts = {"operator_s": [], "fingerprint_s": [], "spmv_s": []}
+    x = np.full(graph.n_rows, 1.0 / graph.n_rows)
+    for _ in range(reps):
+        fresh = fresh_copy(graph)
+        t0 = time.perf_counter()
+        operator = pagerank_csc(fresh)
+        t1 = time.perf_counter()
+        matrix_fingerprint(operator)
+        t2 = time.perf_counter()
+        operator.spmv(x)
+        t3 = time.perf_counter()
+        parts["operator_s"].append(t1 - t0)
+        parts["fingerprint_s"].append(t2 - t1)
+        parts["spmv_s"].append(t3 - t2)
+    out["pagerank_auto_one_iteration"]["parts_median_s"] = {
+        name: float(np.median(values)) for name, values in parts.items()
+    }
+    return out
+
+
 def run(quick: bool) -> dict:
     if quick:
         nodes, edges, iterations = QUICK_NODES, QUICK_EDGES, QUICK_ITERATIONS
@@ -194,6 +265,7 @@ def run(quick: bool) -> dict:
             "numpy_backend_speedup": legacy_seconds / numpy_seconds,
         },
         "spmm": bench_spmm(csr, k=8, repeats=3 if quick else 10),
+        "cold_calls": bench_cold(graph, COLD_REPS[quick]),
         "plan_cache": {
             "builds": PLAN_CACHE_STATS.builds,
             "hits": PLAN_CACHE_STATS.hits,
@@ -217,6 +289,11 @@ def run(quick: bool) -> dict:
         f"({iterations / numpy_seconds:8.1f} it/s)"
     )
     print(f"speedup: {speedup:8.2f}x   spmm: {result['spmm']['speedup']:.2f}x")
+    for name, cold in result["cold_calls"].items():
+        print(
+            f"cold {name}: {cold['seconds_median'] * 1e3:9.1f} ms median "
+            f"({cold['iterations']} iterations, {cold['n_shards']} shard(s))"
+        )
     return result
 
 

@@ -622,8 +622,8 @@ def _cmd_formats(_args) -> int:
 
 
 def _load_matrix(args):
-    """The input of ``tune``/``update``: exactly one of ``MATRIX.mtx``
-    or ``--rmat``; returns ``(matrix, source label)``."""
+    """The input of ``tune``/``update``/``fit``: exactly one of
+    ``MATRIX.mtx`` or ``--rmat``; returns ``(matrix, source label)``."""
     from repro.errors import ValidationError
 
     if args.rmat == (args.matrix is not None):
@@ -766,24 +766,12 @@ def _spec_rows(spec):
 
 
 def _cmd_fit(args) -> int:
-    from repro.errors import ValidationError
-    from repro.graphs.fit import fit
+    from repro.graphs.fit import fit, spec_name
 
-    if args.rmat == (args.matrix is not None):
-        raise ValidationError(
-            "pass exactly one input: a MatrixMarket path or --rmat"
-        )
-    if args.rmat:
-        from repro.graphs.rmat import rmat_graph
-
-        matrix = rmat_graph(args.nodes, args.edges, seed=args.seed)
-        name = args.name or "rmat"
-        spec = fit(matrix, name=name)
-        source = f"rmat(nodes={args.nodes}, edges={args.edges}, " \
-                 f"seed={args.seed})"
-    else:
-        spec = fit(args.matrix, name=args.name)
-        source = args.matrix
+    matrix, source = _load_matrix(args)
+    spec = fit(
+        matrix, name=args.name or ("rmat" if args.rmat else spec_name(source))
+    )
     # Write the artifact before printing: a closed stdout pipe must
     # not lose the spec.
     if args.out:

@@ -20,7 +20,6 @@ from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csc import CSCMatrix
 from repro.core.reorder import order_by_length
-from repro.gpu.spec import DeviceSpec
 
 __all__ = ["TilePlan", "plan_tiles", "slice_into_tiles"]
 
@@ -118,8 +117,3 @@ def slice_into_tiles(
     rem_cols = np.arange(plan.dense_cols, plan.n_cols)
     remainder = reordered.select_cols(rem_cols).to_coo()
     return tiles, remainder
-
-
-def default_tile_width(device: DeviceSpec) -> int:
-    """Tile width for a device: one texture cache worth of ``x``."""
-    return device.tile_width_columns

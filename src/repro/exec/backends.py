@@ -4,8 +4,8 @@ A *backend* turns a :class:`~repro.formats.base.SparseMatrix` into a
 :class:`~repro.exec.plan.SpMVPlan`.  The ``numpy`` backend asks the
 matrix for its native plan (every format implements ``_build_plan``);
 the ``scipy`` backend — auto-detected, never required — compiles the
-matrix to canonical CSR and drives SciPy's C matvec kernels directly
-into the caller's ``out`` buffer.
+matrix to canonical CSR (a CSC runs as it is stored) and drives SciPy's
+C matvec kernels directly into the caller's ``out`` buffer.
 
 When SciPy is importable it is the default backend (its row-serial
 accumulation matches the seed implementation's ``np.bincount`` order
@@ -36,6 +36,7 @@ __all__ = [
     "Backend",
     "NumpyBackend",
     "ScipyBackend",
+    "ScipyCSCPlan",
     "ScipyCSRPlan",
     "available_backends",
     "build_plan",
@@ -55,10 +56,16 @@ class Backend(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether every format compiles to one and the same CSR plan, so
-    #: the storage format cannot change what this backend executes
-    #: (the tuner measures one format per such backend).
+    #: Whether every format runs the same row-serial arithmetic (one
+    #: CSR plan, or a bitwise-equal CSC scatter), so the storage
+    #: format cannot change what this backend computes (the tuner
+    #: measures one format per such backend).
     format_free: bool = False
+
+    #: Whether a :class:`~repro.formats.csc.CSCMatrix` runs on its own
+    #: arrays, with no sort, bitwise equal to the matrix's CSR run —
+    #: what a cold source-major mining run needs (DESIGN.md §7).
+    sort_free_csc: bool = False
 
     @abc.abstractmethod
     def is_available(self) -> bool:
@@ -81,16 +88,68 @@ class NumpyBackend(Backend):
         return matrix._build_plan()
 
 
-class ScipyCSRPlan(SpMVPlan):
+class _ScipyPlan(SpMVPlan):
+    """Plan driving one of SciPy's compiled matvec kernel pairs on
+    ``indptr``/``indices``/``data``, accumulating straight into the
+    caller's buffer — zero heap allocation per call.  Older/stripped
+    SciPy builds without the private ``_sparsetools`` module fall back
+    to the public sparse-array ``@`` operator (one O(n_rows)
+    temporary)."""
+
+    backend = "scipy"
+    #: ``(matvec, matvecs, sparse array class)`` names in SciPy.
+    _kernels: tuple[str, str, str]
+
+    def __init__(self, shape, indptr, indices, data) -> None:
+        super().__init__(shape)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        matvec, matvecs, _ = self._kernels
+        try:
+            from scipy.sparse import _sparsetools
+
+            self._matvec = getattr(_sparsetools, matvec)
+            self._matvecs = getattr(_sparsetools, matvecs)
+        except (ImportError, AttributeError):  # pragma: no cover
+            self._matvec = self._matvecs = None
+        self._operator = None
+
+    def _fallback_operator(self):
+        if self._operator is None:
+            import scipy.sparse as sp
+
+            self._operator = getattr(sp, self._kernels[2])(
+                (self.data, self.indices, self.indptr), shape=self.shape
+            )
+        return self._operator
+
+    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
+        if self._matvec is None:  # pragma: no cover - fallback path
+            np.copyto(out, self._fallback_operator() @ x)
+            return
+        out.fill(0.0)
+        self._matvec(
+            self.n_rows, self.n_cols,
+            self.indptr, self.indices, self.data, x, out,
+        )
+
+    def _execute_many(self, X: np.ndarray, out: np.ndarray) -> None:
+        if self._matvecs is None:  # pragma: no cover - fallback path
+            np.copyto(out, self._fallback_operator() @ X)
+            return
+        out.fill(0.0)
+        self._matvecs(
+            self.n_rows, self.n_cols, X.shape[1],
+            self.indptr, self.indices, self.data, X.ravel(), out.ravel(),
+        )
+
+
+class ScipyCSRPlan(_ScipyPlan):
     """Plan driving SciPy's compiled CSR matvec kernels.
 
     The matrix is canonicalised to CSR once; execution calls
-    ``scipy.sparse._sparsetools.csr_matvec`` (and ``csr_matvecs`` for
-    the batched path) accumulating straight into the caller's buffer —
-    zero heap allocation per call, and row-serial summation order, which
-    matches the seed implementation's ``np.bincount`` reduction exactly.
-    Older/stripped SciPy builds without the private module fall back to
-    the public ``csr_array @`` operator (one O(n_rows) temporary).
+    ``csr_matvec`` (``csr_matvecs`` for the batched path).  Row-serial
+    summation order matches the seed implementation's ``np.bincount``
+    reduction exactly.
 
     The plan copies no O(nnz) array.  A
     :class:`~repro.formats.csr.CSRMatrix` is adopted as it is, so a plan
@@ -100,10 +159,9 @@ class ScipyCSRPlan(SpMVPlan):
     them and builds only ``indptr``.
     """
 
-    backend = "scipy"
+    _kernels = ("csr_matvec", "csr_matvecs", "csr_array")
 
     def __init__(self, matrix) -> None:
-        super().__init__(matrix.shape)
         from repro.formats.csr import CSRMatrix
 
         csr = (
@@ -111,45 +169,26 @@ class ScipyCSRPlan(SpMVPlan):
             if isinstance(matrix, CSRMatrix)
             else CSRMatrix._from_coo_shared(matrix.to_coo())
         )
-        self.indptr = csr.indptr
-        self.indices = csr.indices
-        self.data = csr.data
-        try:
-            from scipy.sparse import _sparsetools
+        super().__init__(matrix.shape, csr.indptr, csr.indices, csr.data)
 
-            self._tools = _sparsetools
-        except ImportError:  # pragma: no cover - present in all CI scipys
-            self._tools = None
-        self._operator = None
 
-    def _fallback_operator(self):
-        if self._operator is None:
-            import scipy.sparse as sp
+class ScipyCSCPlan(_ScipyPlan):
+    """Plan driving SciPy's compiled CSC matvec kernels on a
+    :class:`~repro.formats.csc.CSCMatrix`'s own arrays: no copy, no sort.
 
-            self._operator = sp.csr_array(
-                (self.data, self.indices, self.indptr), shape=self.shape
-            )
-        return self._operator
+    ``csc_matvec`` scatters column by column, ``y[i] += a_ij * x[j]``
+    for ascending ``j``, so every ``y[i]`` adds its products from 0 in
+    ascending column order — the order ``csr_matvec`` adds them in on
+    the same matrix.  The two plans are therefore bitwise equal
+    (``csc_matvecs`` and ``csr_matvecs`` likewise, column by column of
+    ``X``); the scatter streams ``y`` instead of ``x`` and is the
+    slower of the two once both exist.
+    """
 
-    def _execute(self, x: np.ndarray, out: np.ndarray) -> None:
-        if self._tools is None:  # pragma: no cover - fallback path
-            np.copyto(out, self._fallback_operator() @ x)
-            return
-        out.fill(0.0)
-        self._tools.csr_matvec(
-            self.n_rows, self.n_cols,
-            self.indptr, self.indices, self.data, x, out,
-        )
+    _kernels = ("csc_matvec", "csc_matvecs", "csc_array")
 
-    def _execute_many(self, X: np.ndarray, out: np.ndarray) -> None:
-        if self._tools is None:  # pragma: no cover - fallback path
-            np.copyto(out, self._fallback_operator() @ X)
-            return
-        out.fill(0.0)
-        self._tools.csr_matvecs(
-            self.n_rows, self.n_cols, X.shape[1],
-            self.indptr, self.indices, self.data, X.ravel(), out.ravel(),
-        )
+    def __init__(self, csc) -> None:
+        super().__init__(csc.shape, csc.indptr, csc.indices, csc.data)
 
 
 class ScipyBackend(Backend):
@@ -157,6 +196,7 @@ class ScipyBackend(Backend):
 
     name = "scipy"
     format_free = True
+    sort_free_csc = True
 
     def is_available(self) -> bool:
         try:
@@ -166,8 +206,12 @@ class ScipyBackend(Backend):
         return True
 
     def build_plan(self, matrix) -> SpMVPlan | None:
+        from repro.formats.csc import CSCMatrix
+
         if not self.is_available():  # pragma: no cover
             return None
+        if isinstance(matrix, CSCMatrix):
+            return ScipyCSCPlan(matrix)
         return ScipyCSRPlan(matrix)
 
 

@@ -87,6 +87,9 @@ class CSCMatrix(SparseMatrix):
             self.indices[order], col_of[order], self.data[order], self.shape
         )
 
+    def _compute_row_lengths(self) -> np.ndarray:
+        return np.bincount(self.indices, minlength=self.n_rows)
+
     def _compute_col_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
 

@@ -42,6 +42,7 @@ __all__ = [
     "ScenarioSpec",
     "fit",
     "generate",
+    "spec_name",
     "spec_seed",
 ]
 
@@ -639,6 +640,11 @@ def _hub_share(lengths: np.ndarray, nnz: int) -> float:
     return share if share >= _HUB_MIN_SHARE else 0.0
 
 
+def spec_name(path: str | Path) -> str:
+    """The default name of a spec fitted from a matrix file: its stem."""
+    return Path(path).stem or "fitted"
+
+
 def fit(
     matrix: SparseMatrix | str | Path, *, name: str | None = None
 ) -> ScenarioSpec:
@@ -659,7 +665,7 @@ def fit(
                 f"cannot read matrix file {str(source)!r}: {exc}"
             ) from exc
         if name is None:
-            name = source.stem or "fitted"
+            name = spec_name(source)
     if not isinstance(matrix, SparseMatrix):
         raise ValidationError(
             f"fit expects a SparseMatrix or a path, got "

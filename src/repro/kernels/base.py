@@ -28,7 +28,9 @@ from repro.formats.coo import COOMatrix
 from repro.gpu.costs import CostReport
 from repro.gpu.spec import DeviceSpec
 
-__all__ = ["SpMVKernel", "available_kernels", "create", "register"]
+__all__ = [
+    "SpMVKernel", "available_kernels", "create", "kernel_class", "register",
+]
 
 _REGISTRY: dict[str, type["SpMVKernel"]] = {}
 
@@ -56,6 +58,17 @@ def available_kernels() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def kernel_class(name: str) -> type["SpMVKernel"]:
+    """The registered kernel class of ``name`` (case-insensitive)."""
+    available_kernels()  # ensure lazy registrations happened
+    key = name.lower()
+    if key not in _REGISTRY:
+        raise ValidationError(
+            f"unknown kernel {name!r}; available: {sorted(_REGISTRY)}"
+        )
+    return _REGISTRY[key]
+
+
 def create(
     name: str,
     matrix: SparseMatrix,
@@ -64,13 +77,7 @@ def create(
     **options,
 ) -> "SpMVKernel":
     """Instantiate a kernel by name on the given matrix."""
-    available_kernels()  # ensure lazy registrations happened
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ValidationError(
-            f"unknown kernel {name!r}; available: {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[key](matrix, device=device, **options)
+    return kernel_class(name)(matrix, device=device, **options)
 
 
 class SpMVKernel(abc.ABC):

@@ -149,17 +149,20 @@ def hits(
                 checkpoint, "hits", {"n": n, "tol": tol}, "v"
             ),
         )
-    dev = run.kernel.device
-    per_iteration = (
-        run.kernel.cost()
-        + reduction_cost(n, dev)  # authority normalisation sum
-        + reduction_cost(n, dev)  # hub normalisation sum
-        + scale_cost(n, dev)      # authority division
-        + scale_cost(n, dev)      # hub division
-        + reduction_cost(2 * n, dev)  # convergence check
-    )
+
+    def price(kernel):
+        dev = kernel.device
+        return (
+            kernel.cost()
+            + reduction_cost(n, dev)  # authority normalisation sum
+            + reduction_cost(n, dev)  # hub normalisation sum
+            + scale_cost(n, dev)      # authority division
+            + scale_cost(n, dev)      # hub division
+            + reduction_cost(2 * n, dev)  # convergence check
+        )
+
     return finish_run(
-        trace, "hits", run, per_iteration,
+        trace, "hits", run, price,
         vector=walk.frozen[:, 0], iterations=int(walk.counts[0]),
         converged=bool(walk.converged[0]), snapshot=snapshot, warm=warm,
         n=n, tol=tol, multi_vector=multi_vector,

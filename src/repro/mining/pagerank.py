@@ -14,6 +14,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
+from repro.formats.csc import CSCMatrix
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
@@ -31,24 +32,49 @@ from repro.mining.power_method import (
 from repro.mining.vector_kernels import axpy_cost, reduction_cost
 from repro.tuner.fingerprint import matrix_fingerprint
 
-__all__ = ["PageRankResult", "pagerank", "pagerank_operator"]
+__all__ = ["PageRankResult", "pagerank", "pagerank_csc", "pagerank_operator"]
 
 PageRankResult = MiningResult
 
 
-def pagerank_operator(adjacency: COOMatrix) -> COOMatrix:
-    """Build ``W^T`` (transposed row-normalised adjacency) directly.
+def _out_weights(adjacency: COOMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Out-degrees and the surfer's step weights ``1 / outdeg`` (every
+    stored source has out-degree at least one)."""
+    if adjacency.n_rows != adjacency.n_cols:
+        raise ValidationError("PageRank needs a square adjacency matrix")
+    lengths = adjacency.row_lengths()
+    return lengths, 1.0 / np.maximum(lengths, 1).astype(np.float64)
+
+
+def pagerank_csc(adjacency: COOMatrix) -> CSCMatrix:
+    """``W^T`` stored by columns, built without a sort.
 
     Entry ``(v, u)`` of the operator is ``1 / outdeg(u)`` for each edge
     ``u -> v`` — a random surfer on ``u`` moves to ``v`` with that
-    probability.  Built as a transpose in
-    :meth:`~repro.formats.coo.COOMatrix.column_order`, gathering the
-    weights ``1 / outdeg(src)`` directly instead of the adjacency data
-    (every stored source has out-degree at least one).
+    probability.  Column ``u`` of ``W^T`` is row ``u`` of the
+    adjacency, so the adjacency's own row-major arrays are the CSC: the
+    out-degree offsets become ``indptr``, its column indices the row
+    indices, and each source's weight repeats over its out-edges.
     """
-    if adjacency.n_rows != adjacency.n_cols:
-        raise ValidationError("PageRank needs a square adjacency matrix")
-    inv_deg = 1.0 / np.maximum(adjacency.row_lengths(), 1).astype(np.float64)
+    lengths, inv_deg = _out_weights(adjacency)
+    indptr = np.zeros(adjacency.n_rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return CSCMatrix(
+        indptr, adjacency.cols, np.repeat(inv_deg, lengths),
+        (adjacency.n_cols, adjacency.n_rows),
+    )
+
+
+def pagerank_operator(adjacency: COOMatrix) -> COOMatrix:
+    """Build ``W^T`` row-sorted: the arrays of
+    ``pagerank_csc(adjacency).to_coo()``.
+
+    Built as the adjacency's transpose in
+    :meth:`~repro.formats.coo.COOMatrix.column_order`, gathering each
+    weight from the O(rows) table ``1 / outdeg`` rather than from the
+    CSC's O(nnz) ``data`` (DESIGN.md §7, "Cold starts").
+    """
+    _, inv_deg = _out_weights(adjacency)
     order = adjacency.column_order()
     src = adjacency.rows[order]
     return COOMatrix(
@@ -130,6 +156,7 @@ def pagerank(
         kernel_options=kernel_options, executor=executor,
         n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
+        source_major=pagerank_csc,
     ) as run:
         n = run.operator.n_rows
         warm = resolve_warm_start(
@@ -161,14 +188,17 @@ def pagerank(
                 {"n": n, "damping": damping, "tol": tol}, "p",
             ),
         )
-    dev = run.kernel.device
-    per_iteration = (
-        run.kernel.cost()
-        + axpy_cost(n, dev)          # damping update
-        + reduction_cost(n, dev)     # convergence check
-    )
+
+    def price(kernel):
+        dev = kernel.device
+        return (
+            kernel.cost()
+            + axpy_cost(n, dev)       # damping update
+            + reduction_cost(n, dev)  # convergence check
+        )
+
     return finish_run(
-        trace, "pagerank", run, per_iteration,
+        trace, "pagerank", run, price,
         vector=walk.frozen[:, 0], iterations=int(walk.counts[0]),
         converged=bool(walk.converged[0]), snapshot=snapshot, warm=warm,
         damping=damping, tol=tol,

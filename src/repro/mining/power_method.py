@@ -12,13 +12,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConvergenceError, ValidationError
 from repro.gpu.costs import CostReport
-from repro.kernels.base import SpMVKernel
+from repro.kernels.base import SpMVKernel, kernel_class
 from repro.obs import metrics as _metrics
 from repro.obs.convergence import NULL_TRACE, convergence_trace
 
@@ -52,14 +53,16 @@ class _SetupEntry:
     The operator, its fingerprint, the cost-model kernels (one per
     kernel name, device and options) and the engines built on the
     operator — sharded executors per requested shard count, the tuned
-    engine — all derived from the adjacency at ``version``.  ``lock``
+    engine — all derived from the adjacency at ``version``.  A
+    ``source_major`` operator is the cold-start form of
+    :func:`mining_setup`, replaced on the entry's first hit.  ``lock``
     is held for a whole run: plans and workspace pools serve one
     execution stream, so runs on the same adjacency queue here.
     """
 
     __slots__ = (
-        "lock", "version", "operator", "fingerprint", "kernels",
-        "executors", "tuned",
+        "lock", "version", "operator", "source_major", "fingerprint",
+        "kernels", "executors", "tuned",
     )
 
     def __init__(self) -> None:
@@ -73,15 +76,29 @@ class _SetupEntry:
             if engine is not None:
                 engine.close()
         self.version = self.operator = self.fingerprint = None
+        self.source_major = False
         self.kernels, self.executors, self.tuned = {}, {}, None
 
-    def kernel(self, name, device, options, create):
-        key = repr((name.lower(), device, sorted(options.items())))
-        spmv = self.kernels.get(key)
-        if spmv is None:
-            spmv = create(name, self.operator, device=device, **options)
-            self.kernels[key] = spmv
-        return spmv
+    def kernel(self, kernel, device, options, create):
+        """A thunk returning the cost-model kernel of this run's
+        operator, created on first call and cached per name, device
+        and options.  The thunk holds the operator and kernel table of
+        the moment, so a late call (a result priced after the entry
+        moved on) never mixes operators; a caller's kernel instance is
+        returned as it is."""
+        if isinstance(kernel, SpMVKernel):
+            return lambda: kernel
+        key = repr((kernel.lower(), device, sorted(options.items())))
+        kernels, operator = self.kernels, self.operator
+
+        def make():
+            spmv = kernels.get(key)
+            if spmv is None:
+                spmv = create(kernel, operator, device=device, **options)
+                kernels[key] = spmv
+            return spmv
+
+        return make
 
     def sharded_executor(self, n_shards):
         """The cached :class:`~repro.exec.ShardedExecutor` of one
@@ -119,9 +136,25 @@ class RunSetup(NamedTuple):
 
     operator: object  # the algorithm's SpMV operator
     fingerprint: str  # matrix_fingerprint(operator)
-    kernel: SpMVKernel  # cost model, and the engine of unsharded runs
+    kernel_name: str  # the cost-model kernel's registry name
+    make_kernel: Callable[[], SpMVKernel]  # the kernel, built on first call
     engine: object  # what runs the iteration's spmv/spmm
     version: int  # the adjacency's data_version the operator was built at
+
+
+def _cold_scatter(executor, n_shards, tune: bool) -> bool:
+    """Whether a cache miss runs on the source-major operator: an
+    ``"auto"`` request whose shard count the caller left to the policy
+    (no ``REPRO_SPMV_SHARDS``, ``executor=`` or ``tune=``), on a
+    default backend that runs a CSC without sorting it."""
+    from repro.exec.backends import get_backend
+    from repro.exec.sharded import env_shard_count
+
+    return (
+        n_shards == "auto" and executor is None and not tune
+        and env_shard_count() is None
+        and get_backend().sort_free_csc
+    )
 
 
 @contextmanager
@@ -138,15 +171,18 @@ def mining_setup(
     tune: bool,
     create,
     fingerprint,
+    source_major=None,
 ):
     """The one setup path of PageRank, HITS, RWR and the query service.
 
     Builds ``build(adjacency.to_coo())``, its ``fingerprint``, the
-    ``create``-d cost-model kernel and the engine (see
-    :func:`resolve_engine`) — once per adjacency, not once per call:
-    the results are cached in ``adjacency.__dict__`` per algorithm,
-    like the matrix's own plans, on the :class:`SparseMatrix` contract
-    that a matrix is immutable once built.  Each entry is stamped with
+    engine (see :func:`resolve_engine`) and a thunk of the
+    ``create``-d cost-model kernel — once per adjacency, not once per
+    call: the results are cached in ``adjacency.__dict__`` per
+    algorithm, like the matrix's own plans, on the
+    :class:`SparseMatrix` contract that a matrix is immutable once
+    built.  The kernel is created when the engine is the kernel, else
+    when the run's cost is first read.  Each entry is stamped with
     ``adjacency.data_version``; when a dynamic matrix moves past it the
     entry is dropped and its executors closed.  The entry's lock is
     held until the ``with`` block ends, so concurrent runs on the same
@@ -155,10 +191,20 @@ def mining_setup(
     The entry dies with the adjacency (executor pools close through
     their finalisers), or earlier through :func:`drop_setup`.
 
+    ``source_major`` (PageRank's) builds the same operator stored by
+    columns, with no sort.  A miss that asks for ``"auto"`` shards (see
+    :func:`_cold_scatter`) builds that instead and runs single-shard on
+    its plan; the entry's first hit builds ``build``'s operator and the
+    usual engines and drops it (DESIGN.md §7, "Cold starts").
+
     ``create`` and ``fingerprint`` are passed as the calling module
     resolves them, so wrappers installed on that module (profilers,
     span tracers) still time every build.
     """
+    if not isinstance(kernel, SpMVKernel):
+        kernel_name = kernel_class(kernel).name  # unknown names fail here
+    else:
+        kernel_name = kernel.name
     cache = adjacency.__dict__.setdefault(_SETUP_CACHE, {})
     entry = cache.get(algorithm) or cache.setdefault(
         algorithm, _SetupEntry()
@@ -171,22 +217,33 @@ def mining_setup(
         hit = entry.operator is not None and entry.version == version
         if not hit:
             entry.drop()
-            operator = build(adjacency.to_coo())
+            cold = source_major is not None and _cold_scatter(
+                executor, n_shards, tune
+            )
+            operator = (source_major if cold else build)(adjacency.to_coo())
             entry.fingerprint = fingerprint(operator)
             entry.operator, entry.version = operator, version
+            entry.source_major = cold
+        elif entry.source_major:
+            # Same matrix, same fingerprint: only the layout changes.
+            entry.operator = build(adjacency.to_coo())
+            entry.source_major, entry.kernels = False, {}
         if _metrics._ENABLED:
             _metrics.METRICS.inc(
                 "mining.setup", result="hit" if hit else "miss",
                 algorithm=algorithm,
             )
-        if isinstance(kernel, SpMVKernel):
-            spmv = kernel
+        make_kernel = entry.kernel(kernel, device, kernel_options, create)
+        if entry.source_major:
+            engine = entry.operator.spmv_plan()
         else:
-            spmv = entry.kernel(kernel, device, kernel_options, create)
-        engine = resolve_engine(entry, spmv, executor, n_shards, tune=tune)
+            engine = resolve_engine(
+                entry, make_kernel, executor, n_shards, tune=tune
+            )
         try:
             yield RunSetup(
-                entry.operator, entry.fingerprint, spmv, engine, entry.version
+                entry.operator, entry.fingerprint, kernel_name, make_kernel,
+                engine, entry.version,
             )
         except BaseException:
             entry.drop()
@@ -218,7 +275,7 @@ def drop_setup(adjacency) -> dict[str, str]:
 
 def resolve_engine(
     entry,
-    kernel,
+    make_kernel,
     executor=None,
     n_shards=None,
     tune=False,
@@ -226,7 +283,8 @@ def resolve_engine(
     """Choose the object whose ``spmv``/``spmm`` drives a power loop.
 
     With neither ``executor`` nor ``n_shards`` given, the loop runs on
-    the kernel's cached single-shard plan — unless ``REPRO_SPMV_SHARDS``
+    the kernel ``make_kernel()`` returns, on its cached single-shard
+    plan — unless ``REPRO_SPMV_SHARDS``
     forces the sharded executor underneath every mining call (the CI
     configuration).  ``n_shards`` (an int, or ``"auto"`` for the
     nnz-and-cores policy) takes the :class:`~repro.exec.ShardedExecutor`
@@ -262,7 +320,7 @@ def resolve_engine(
             )
         return executor
     if n_shards is None and env_shard_count() is None:
-        return kernel
+        return make_kernel()
     return entry.sharded_executor(n_shards)
 
 
@@ -618,6 +676,8 @@ class MiningResult:
     the per-iteration cost scaled by the realised iteration count.  The
     paper's Tables 1/4/5 report exactly this total; Figures 3/8 report
     the per-iteration GFLOPS/GB/s, available via ``per_iteration``.
+    Both are priced by ``pricing`` on first read: a run whose cost
+    nobody reads never builds its cost-model kernel.
     """
 
     algorithm: str
@@ -625,9 +685,23 @@ class MiningResult:
     vector: np.ndarray
     iterations: int
     converged: bool
-    per_iteration: CostReport
-    total_cost: CostReport
+    # () -> (per_iteration, total_cost)
+    pricing: Callable[[], tuple[CostReport, CostReport]] = field(
+        repr=False, compare=False
+    )
     extra: dict = field(default_factory=dict)
+
+    @cached_property
+    def _costs(self) -> tuple[CostReport, CostReport]:
+        return self.pricing()
+
+    @property
+    def per_iteration(self) -> CostReport:
+        return self._costs[0]
+
+    @property
+    def total_cost(self) -> CostReport:
+        return self._costs[1]
 
     @property
     def seconds(self) -> float:
@@ -658,19 +732,27 @@ class MiningResult:
 
 
 def finish_run(
-    trace, algorithm: str, run: RunSetup, per_iteration: CostReport, *,
+    trace, algorithm: str, run: RunSetup, price, *,
     vector, iterations, converged: bool, snapshot=None, warm=None,
     **extra,
 ) -> MiningResult:
     """Assemble a finished run's :class:`MiningResult` and report it.
 
-    Every mining algorithm funnels its result through here: the cost
-    of one iteration scales by ``iterations`` (RWR's per-query mean),
-    and with observability on the trace lands in
-    ``result.extra["convergence"]`` and the run counters/iteration
-    histogram on the global metrics registry.
+    Every mining algorithm funnels its result through here.
+    ``price(kernel)`` is the :class:`CostReport` of one iteration on
+    the run's cost-model kernel; it runs on the result's first cost
+    read and scales by ``iterations`` (RWR's per-query mean).  With
+    observability on the trace lands in ``result.extra["convergence"]``
+    and the run counters/iteration histogram on the global metrics
+    registry.
     """
-    per_iteration = per_iteration.relabel(f"{algorithm}/{run.kernel.name}")
+    label = f"{algorithm}/{run.kernel_name}"
+    make_kernel = run.make_kernel
+
+    def pricing() -> tuple[CostReport, CostReport]:
+        per_iteration = price(make_kernel()).relabel(label)
+        return per_iteration, per_iteration.scaled(iterations).relabel(label)
+
     extra["n_shards"] = getattr(run.engine, "n_shards", 1)
     extra["operator_fingerprint"] = run.fingerprint
     if snapshot is not None:
@@ -679,14 +761,11 @@ def finish_run(
         extra["warm_start"] = True
     result = MiningResult(
         algorithm=algorithm,
-        kernel_name=run.kernel.name,
+        kernel_name=run.kernel_name,
         vector=vector,
         iterations=int(round(iterations)),
         converged=converged,
-        per_iteration=per_iteration,
-        total_cost=per_iteration.scaled(iterations).relabel(
-            per_iteration.label
-        ),
+        pricing=pricing,
         extra=extra,
     )
     if trace.active:

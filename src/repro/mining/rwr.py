@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import CheckpointError, ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
-from repro.formats.csc import CSCMatrix
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
@@ -39,7 +38,13 @@ RWRResult = MiningResult
 
 
 def rwr_operator(adjacency: COOMatrix) -> COOMatrix:
-    """Column-normalised adjacency of the symmetrised graph."""
+    """Column-normalised adjacency of the symmetrised graph.
+
+    The symmetrised graph's unit entries are scaled in place by
+    ``1 / colsum`` of their column: the arrays of
+    ``CSCMatrix.from_coo(sym).normalize_cols().to_coo()`` without its
+    two sorts (every stored column sums to at least one).
+    """
     if adjacency.n_rows != adjacency.n_cols:
         raise ValidationError("RWR needs a square adjacency matrix")
     sym = COOMatrix.from_edges(
@@ -47,7 +52,9 @@ def rwr_operator(adjacency: COOMatrix) -> COOMatrix:
         np.concatenate([adjacency.cols, adjacency.rows]),
         adjacency.shape,
     )
-    return CSCMatrix.from_coo(sym).normalize_cols().to_coo()
+    colsum = np.bincount(sym.cols, weights=sym.data, minlength=sym.n_cols)
+    sym.data *= (1.0 / np.maximum(colsum, 1.0))[sym.cols]
+    return sym
 
 
 def random_walk_with_restart(
@@ -174,14 +181,17 @@ def random_walk_with_restart(
             )
             iteration_counts += walk.counts.tolist()
             all_converged &= bool(walk.converged.all())
-    dev = run.kernel.device
-    per_iteration = (
-        run.kernel.cost()
-        + axpy_cost(n, dev)       # restart update
-        + reduction_cost(n, dev)  # convergence check
-    )
+
+    def price(kernel):
+        dev = kernel.device
+        return (
+            kernel.cost()
+            + axpy_cost(n, dev)       # restart update
+            + reduction_cost(n, dev)  # convergence check
+        )
+
     return finish_run(
-        trace, "rwr", run, per_iteration,
+        trace, "rwr", run, price,
         vector=np.ascontiguousarray(walk.frozen[:, -1]),
         iterations=float(np.mean(iteration_counts)),
         converged=all_converged, snapshot=snapshot, warm=warm,

@@ -27,7 +27,7 @@ from repro.errors import DeviceMemoryError, ValidationError
 from repro.formats.base import SparseMatrix
 from repro.gpu.costs import CostReport
 from repro.gpu.spec import DeviceSpec
-from repro.kernels.base import SpMVKernel, create
+from repro.kernels.base import create
 from repro.mining.pagerank import pagerank_operator
 from repro.mining.power_method import Walk, damped_step, power_iterate
 from repro.mining.vector_kernels import axpy_cost, reduction_cost
@@ -202,35 +202,6 @@ def required_device_bytes(n_rows: int, n_cols: int, nnz: int) -> int:
     starts at the same GPU count, as in the paper's Figure 4.
     """
     return int(12 * nnz + 4 * n_cols + 4 * n_rows)
-
-
-def _format_probe_attrs() -> tuple[str, ...]:
-    """Kernel attribute names that may hold the built storage format.
-
-    Derived from the format registry (registration order puts composite
-    formats like HYB before the plain layouts they embed), so memory
-    accounting covers newly registered formats automatically.  ``coo``
-    is excluded: every kernel keeps a ``.coo`` staging reference (see
-    ``kernels/base.py``), which the 12-bytes-per-nnz fallback already
-    prices — probing it would shadow the real built format.
-    """
-    from repro.formats.registry import format_names
-
-    return ("matrix", *(n for n in format_names() if n != "coo"))
-
-
-def _matrix_device_bytes(kernel: SpMVKernel) -> int:
-    """Kernel-specific storage diagnostic: built format + x + y."""
-    stored = None
-    for attr in _format_probe_attrs():
-        candidate = getattr(kernel, attr, None)
-        if candidate is not None and hasattr(candidate, "nbytes"):
-            stored = candidate.nbytes
-            break
-    if stored is None:
-        stored = 12 * kernel.nnz  # COO-equivalent fallback
-    n_rows, n_cols = kernel.shape
-    return int(stored + 4 * n_cols + 4 * n_rows)
 
 
 def _measure_local_spmv(

@@ -51,6 +51,18 @@ def _histogram_crc(matrix) -> int:
     )
 
 
+def _value_dtype(matrix) -> str:
+    """Name of the stored value dtype (``"empty"`` without non-zeros),
+    read off the matrix's own ``data`` array when it has one, so no
+    format is converted to COO just to name its dtype."""
+    if not matrix.nnz:
+        return "empty"
+    data = getattr(matrix, "data", None)
+    if not isinstance(data, np.ndarray):
+        data = matrix.to_coo().data
+    return data.dtype.name
+
+
 def matrix_fingerprint(matrix) -> str:
     """Deterministic structural fingerprint of a sparse matrix.
 
@@ -58,11 +70,9 @@ def matrix_fingerprint(matrix) -> str:
     matrices with the same shape and nnz but different degree
     distributions fingerprint differently.
     """
-    coo = matrix.to_coo()
-    dtype = coo.data.dtype.name if coo.nnz else "empty"
     return (
         f"{matrix.n_rows}x{matrix.n_cols}-nnz{matrix.nnz}"
-        f"-{dtype}-{_histogram_crc(matrix):08x}"
+        f"-{_value_dtype(matrix)}-{_histogram_crc(matrix):08x}"
     )
 
 
@@ -97,11 +107,10 @@ def degree_signature(matrix) -> dict:
     :func:`signature_drift` measures how far an updated matrix has
     moved from the one a cached tuning decision was measured on.
     """
-    coo = matrix.to_coo()
     return {
         "shape": [int(matrix.n_rows), int(matrix.n_cols)],
         "nnz": int(matrix.nnz),
-        "dtype": coo.data.dtype.name if coo.nnz else "empty",
+        "dtype": _value_dtype(matrix),
         "row_hist": _bucketed(matrix.row_lengths()),
         "col_hist": _bucketed(matrix.col_lengths()),
     }

@@ -198,17 +198,6 @@ def test_tuning_decision_accepts_registered_format(registered_toy):
     assert decision.format == "toyfmt"
 
 
-def test_multigpu_probe_attrs_derive_from_registry(registered_toy):
-    from repro.multigpu.cluster import _format_probe_attrs
-
-    attrs = _format_probe_attrs()
-    assert attrs[0] == "matrix"
-    assert attrs[1] == "hyb"  # composite before the layouts it embeds
-    assert "coo" not in attrs  # every kernel holds a .coo staging ref
-    for name in ("csr", "cmrs", "rgcsr", "mpcsr", "toyfmt"):
-        assert name in attrs
-
-
 def test_native_backend_dispatches_via_registry():
     from repro.exec.native import NativeBackend, native_available
 

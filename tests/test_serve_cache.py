@@ -74,6 +74,7 @@ def counting():
 def test_served_and_mined_graph_holds_one_operator(counting):
     graph = rmat_graph(256, 2048, seed=17)
     mined = pagerank(graph, kernel="coo")
+    mined.per_iteration  # a sharded engine builds the kernel when priced
     operator = setup_entry(graph).operator
     with QueryService(window_seconds=0.001) as service:
         service.register("g", graph)
