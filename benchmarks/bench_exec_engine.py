@@ -12,9 +12,10 @@ Runs a fixed-iteration PageRank power method over an R-MAT graph twice:
 Also times the batched SpMM path against column-wise SpMV calls,
 verifies the zero-allocation steady state (the workspace pool stops
 allocating after the first execution), and records cold calls of the
-production entry points — ``pagerank(n_shards="auto")`` for one
-iteration and to convergence, ``random_walk_with_restart()`` and
-``hits()`` — each on a copy of the graph nothing is cached on.
+production entry points — ``pagerank()`` for one iteration,
+``pagerank(n_shards="auto")`` for one iteration and to convergence,
+``random_walk_with_restart()`` and ``hits()`` — each on a copy of the
+graph nothing is cached on.
 
 Results go to ``benchmarks/results/BENCH_exec.json``.  ``--quick`` runs
 a small graph and **fails** (exit 1) when the engine speedup drops below
@@ -66,6 +67,7 @@ COLD_REPS = (3, 5)
 
 #: The cold calls: production entry points on a never-seen matrix.
 COLD_CALLS = {
+    "pagerank_default_one_iteration": lambda g: pagerank(g, max_iter=1),
     "pagerank_auto_one_iteration": lambda g: pagerank(
         g, n_shards="auto", max_iter=1
     ),

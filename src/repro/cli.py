@@ -438,7 +438,6 @@ def _cmd_spmv(args) -> int:
     kernels_to_run = args.kernels or _DEFAULT_KERNELS
     from repro import kernels as kernel_mod
 
-    x = np.random.default_rng(0).random(ds.matrix.n_cols)
     rows = []
     for name in kernels_to_run:
         options = {}
@@ -451,7 +450,6 @@ def _cmd_spmv(args) -> int:
         except FormatNotApplicableError as exc:
             rows.append([name, "-", "-", "-", f"n/a: {exc}"[:46]])
             continue
-        kernel.spmv(x)  # exercise the functional path
         cost = kernel.cost()
         rows.append([
             name, cost.gflops, cost.bandwidth_gbs,
@@ -475,13 +473,15 @@ def _cmd_pagerank(args) -> int:
         ds.matrix, kernel=args.kernel, device=device,
         damping=args.damping, tol=args.tol, n_shards=args.shards,
     )
+    # Priced before any output: an inapplicable kernel fails here.
+    cost = (f"simulated total time {result.seconds * 1e3:.3f} ms "
+            f"({result.gflops:.2f} GFLOPS per iteration)")
     print(f"PageRank on {ds.name} with {result.kernel_name}: "
           f"{result.iterations} iterations, converged={result.converged}")
     shards_used = result.extra.get("n_shards", 1)
     if shards_used != 1:
         print(f"sharded executor: {shards_used} row shards")
-    print(f"simulated total time {result.seconds * 1e3:.3f} ms "
-          f"({result.gflops:.2f} GFLOPS per iteration)")
+    print(cost)
     top = np.argsort(result.vector)[::-1][: args.top]
     rows = [[int(node), result.vector[node]] for node in top]
     print(ascii_table(["node", "rank"], rows, precision=6))

@@ -1,14 +1,17 @@
 """Kernel interface and registry.
 
-A *kernel* couples a storage format with an execution strategy.  Every
-kernel exposes
+A *kernel* is the simulated GPU code whose cost the paper reports: a
+storage format plus an execution strategy.  Every kernel exposes
 
-* ``spmv(x, out=...)`` — the exact product (through the storage
-  format's cached execution plan; ``out`` enables the zero-allocation
-  steady state),
-* ``spmm(X, out=...)`` — the batched multi-vector product, and
 * ``cost()`` — a :class:`~repro.gpu.costs.CostReport` of one SpMV on the
-  simulated device, derived from the actual matrix structure.
+  simulated device, derived from the actual matrix structure, and
+* ``spmv(x, out=...)`` — the exact product through the storage format's
+  cached execution plan, for callers that run one kernel by hand.
+
+A kernel prices; it does not drive the mining algorithms.  Their power
+loops run on the operator or an executor
+(:func:`repro.mining.power_method.resolve_engine`), so no mining run
+builds a kernel's storage just to execute it.
 
 Kernels register themselves by name; ``create`` is the public factory:
 
@@ -86,9 +89,9 @@ class SpMVKernel(abc.ABC):
     Subclasses build their storage format in ``__init__`` and point
     ``self.storage`` at it (or define ``storage`` as a property that
     builds it on first execution), and implement :meth:`_compute_cost`;
-    the numerical path (``spmv``/``spmm``) then runs through the storage
-    format's cached execution plan.  Cost reports are memoised — the
-    matrix is immutable once wrapped.
+    :meth:`spmv` then runs through the storage format's cached
+    execution plan.  Cost reports are memoised — the matrix is
+    immutable once wrapped.
     """
 
     #: Registry name, set by the ``register`` decorator.
@@ -129,14 +132,6 @@ class SpMVKernel(abc.ABC):
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Exact product ``y = A @ x`` through the cached plan."""
         return self.storage.spmv(x, out=out)
-
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Batched multi-vector product ``Y = A @ X``."""
-        return self.storage.spmm(X, out=out)
-
-    def spmv_plan(self, backend: str | None = None):
-        """The storage format's cached execution plan."""
-        return self.storage.spmv_plan(backend)
 
     def cost(self) -> CostReport:
         """Simulated cost of one SpMV (memoised)."""

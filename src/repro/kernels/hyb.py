@@ -31,8 +31,9 @@ class HYBKernel(SpMVKernel):
     width, the head and tail non-zero and column counts, and the tail's
     rows — so :meth:`cost` never builds the
     :class:`~repro.formats.hyb.HYBMatrix`.  The split (:attr:`hyb`, the
-    kernel's :attr:`storage`) is built on first execution; a sharded
-    mining run, which only prices the kernel, never pays for it.
+    kernel's :attr:`storage`) is built only when a caller runs
+    :meth:`spmv` by hand; a mining run, which only prices the kernel,
+    never builds it.
     """
 
     def __init__(

@@ -79,14 +79,25 @@ class _SetupEntry:
         self.source_major = False
         self.kernels, self.executors, self.tuned = {}, {}, None
 
-    def kernel(self, kernel, device, options, create):
+    def kernel(self, kernel, device, options, create, fingerprint):
         """A thunk returning the cost-model kernel of this run's
         operator, created on first call and cached per name, device
         and options.  The thunk holds the operator and kernel table of
         the moment, so a late call (a result priced after the entry
-        moved on) never mixes operators; a caller's kernel instance is
-        returned as it is."""
+        moved on) never mixes operators.  A caller's kernel instance
+        must be built on the operator — same shape, same
+        ``fingerprint`` — and is returned as it is."""
         if isinstance(kernel, SpMVKernel):
+            if (
+                kernel.shape != self.operator.shape
+                or fingerprint(kernel.coo) != self.fingerprint
+            ):
+                raise ValidationError(
+                    f"kernel {kernel.name!r} was built on another matrix "
+                    f"({kernel.shape[0]}x{kernel.shape[1]}, "
+                    f"nnz {kernel.nnz}) than this run's operator "
+                    f"(fingerprint {self.fingerprint})"
+                )
             return lambda: kernel
         key = repr((kernel.lower(), device, sorted(options.items())))
         kernels, operator = self.kernels, self.operator
@@ -181,8 +192,8 @@ def mining_setup(
     call: the results are cached in ``adjacency.__dict__`` per
     algorithm, like the matrix's own plans, on the
     :class:`SparseMatrix` contract that a matrix is immutable once
-    built.  The kernel is created when the engine is the kernel, else
-    when the run's cost is first read.  Each entry is stamped with
+    built.  The kernel only prices the run: it is created when the
+    run's cost is first read.  Each entry is stamped with
     ``adjacency.data_version``; when a dynamic matrix moves past it the
     entry is dropped and its executors closed.  The entry's lock is
     held until the ``with`` block ends, so concurrent runs on the same
@@ -194,7 +205,7 @@ def mining_setup(
     ``source_major`` (PageRank's) builds the same operator stored by
     columns, with no sort.  A miss that asks for ``"auto"`` shards (see
     :func:`_cold_scatter`) builds that instead and runs single-shard on
-    its plan; the entry's first hit builds ``build``'s operator and the
+    it; the entry's first hit builds ``build``'s operator and the
     usual engines and drops it (DESIGN.md §7, "Cold starts").
 
     ``create`` and ``fingerprint`` are passed as the calling module
@@ -233,13 +244,10 @@ def mining_setup(
                 "mining.setup", result="hit" if hit else "miss",
                 algorithm=algorithm,
             )
-        make_kernel = entry.kernel(kernel, device, kernel_options, create)
-        if entry.source_major:
-            engine = entry.operator.spmv_plan()
-        else:
-            engine = resolve_engine(
-                entry, make_kernel, executor, n_shards, tune=tune
-            )
+        make_kernel = entry.kernel(
+            kernel, device, kernel_options, create, fingerprint
+        )
+        engine = resolve_engine(entry, executor, n_shards, tune=tune)
         try:
             yield RunSetup(
                 entry.operator, entry.fingerprint, kernel_name, make_kernel,
@@ -273,30 +281,25 @@ def drop_setup(adjacency) -> dict[str, str]:
     return dropped
 
 
-def resolve_engine(
-    entry,
-    make_kernel,
-    executor=None,
-    n_shards=None,
-    tune=False,
-):
+def resolve_engine(entry, executor=None, n_shards=None, tune=False):
     """Choose the object whose ``spmv``/``spmm`` drives a power loop.
 
-    With neither ``executor`` nor ``n_shards`` given, the loop runs on
-    the kernel ``make_kernel()`` returns, on its cached single-shard
-    plan — unless ``REPRO_SPMV_SHARDS``
-    forces the sharded executor underneath every mining call (the CI
-    configuration).  ``n_shards`` (an int, or ``"auto"`` for the
-    nnz-and-cores policy) takes the :class:`~repro.exec.ShardedExecutor`
-    the setup ``entry`` caches for that count.  A caller-owned
-    ``executor`` (pre-built on the same operator, reusable across runs)
-    is used as-is and left open.  ``tune=True`` takes the operator's
-    measured auto-tuned engine
+    A caller-owned ``executor`` (pre-built on the same operator,
+    reusable across runs) is used as-is and left open.  ``tune=True``
+    takes the operator's measured auto-tuned engine
     (:meth:`~repro.formats.base.SparseMatrix.tuned_plan`, built by
     :meth:`~repro.tuner.TuningDecision.build_engine`: a plan for one
     shard, a ``ShardedExecutor`` for more) — mutually exclusive with
     ``executor``/``n_shards``, which pin what the tuner would decide.
-    Nothing is built per run and nothing is closed here.
+    A cold source-major entry, or a run with neither ``n_shards`` nor
+    ``REPRO_SPMV_SHARDS``, runs on the setup ``entry``'s operator
+    itself: its ``spmv``/``spmm`` execute its cached plan on the
+    default backend.  Otherwise ``n_shards`` (an int, ``"auto"`` for
+    the nnz-and-cores policy, or ``None`` under ``REPRO_SPMV_SHARDS``,
+    the CI configuration) takes the :class:`~repro.exec.ShardedExecutor`
+    the entry caches for that slot.  The cost-model kernel is never an
+    engine: it only prices the run.  Nothing is built per run and
+    nothing is closed here.
     """
     from repro.exec.sharded import env_shard_count
 
@@ -319,8 +322,8 @@ def resolve_engine(
                 f"operator shape {entry.operator.shape}"
             )
         return executor
-    if n_shards is None and env_shard_count() is None:
-        return make_kernel()
+    if entry.source_major or (n_shards is None and env_shard_count() is None):
+        return entry.operator
     return entry.sharded_executor(n_shards)
 
 

@@ -124,7 +124,7 @@ def _replay_engines(run):
     ``run.operator``: a reply's ``solo()`` outlives the service's own
     executor, which eviction, ``close()`` or an update closes, so a
     sharded run replays on a private executor of the same shard count
-    and backend.  A plan or kernel (tuned or not) owns no threads and
+    and backend.  The operator, or a tuned plan, owns no threads and
     is never closed: the replay runs on it."""
     operator, engine = run.operator, run.engine
     if isinstance(engine, ShardedExecutor):

@@ -3,8 +3,8 @@
 ``HYBKernel.cost()`` reads the split off the COO (its ELL width and
 head mask); the reference here prices a materialised
 ``HYBMatrix.from_coo`` the way the kernel once did, and the two reports
-must agree field for field.  The split itself is built only when
-something executes the kernel.
+must agree field for field.  The split itself is built only when a
+caller executes the kernel by hand; mining runs never do.
 """
 
 import numpy as np
@@ -149,19 +149,14 @@ def graph(seed):
     )
 
 
-def test_sharded_pagerank_never_builds_the_split(monkeypatch):
-    calls = spy_from_coo(monkeypatch)
-    result = pagerank(graph(8), n_shards=2)
-    assert result.extra["n_shards"] == 2
-    assert calls == []
-
-
-def test_unsharded_pagerank_builds_the_split_once(monkeypatch):
+@pytest.mark.parametrize("n_shards", [None, 2])
+def test_sharded_pagerank_never_builds_the_split(monkeypatch, n_shards):
     monkeypatch.delenv("REPRO_SPMV_SHARDS", raising=False)
     calls = spy_from_coo(monkeypatch)
-    adjacency = graph(9)
-    first = pagerank(adjacency)
-    assert len(calls) == 1
-    second = pagerank(adjacency)  # the cached kernel keeps its split
-    assert len(calls) == 1
+    adjacency = graph(8)
+    first = pagerank(adjacency, n_shards=n_shards)
+    assert first.extra["n_shards"] == (n_shards or 1)
+    second = pagerank(adjacency, n_shards=n_shards)
+    assert second.total_cost == first.total_cost  # priced, not executed
+    assert calls == []
     assert np.array_equal(first.vector, second.vector)
