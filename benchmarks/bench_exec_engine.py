@@ -15,7 +15,9 @@ allocating after the first execution), and records cold calls of the
 production entry points — ``pagerank()`` for one iteration,
 ``pagerank(n_shards="auto")`` for one iteration and to convergence,
 ``random_walk_with_restart()`` and ``hits()`` — each on a copy of the
-graph nothing is cached on.
+graph nothing is cached on — and warm converged ``pagerank()`` calls on
+the ``"auto"`` shard count against one shard, each on a copy whose
+setup the warm-up calls built.
 
 Results go to ``benchmarks/results/BENCH_exec.json``.  ``--quick`` runs
 a small graph and **fails** (exit 1) when the engine speedup drops below
@@ -75,6 +77,19 @@ COLD_CALLS = {
     "random_walk_with_restart": random_walk_with_restart,
     "hits": hits,
 }
+
+#: Warm calls per leg (full, quick), interleaved across the legs.
+WARM_REPS = (7, 5)
+
+#: The warm calls: converged PageRank on each shard count.
+WARM_CALLS = {
+    "pagerank_auto_converged": lambda g: pagerank(g, n_shards="auto"),
+    "pagerank_one_shard_converged": lambda g: pagerank(g, n_shards=1),
+}
+
+#: A cold call runs on the source-major operator and the next one
+#: builds the gather operator and its executor; warm calls follow both.
+WARMUP_CALLS = 2
 
 
 def legacy_spmv(csr: CSRMatrix, x: np.ndarray) -> np.ndarray:
@@ -196,6 +211,37 @@ def bench_cold(graph: COOMatrix, reps: int) -> dict:
     return out
 
 
+def bench_warm(graph: COOMatrix, reps: int) -> dict:
+    """Warm calls of each leg on its own copy of the graph, the legs
+    interleaved so host noise lands on both."""
+    copies = {name: fresh_copy(graph) for name in WARM_CALLS}
+    for name, call in WARM_CALLS.items():
+        for _ in range(WARMUP_CALLS):
+            call(copies[name])
+    seconds = {name: [] for name in WARM_CALLS}
+    results = {}
+    for _ in range(reps):
+        for name, call in WARM_CALLS.items():
+            start = time.perf_counter()
+            results[name] = call(copies[name])
+            seconds[name].append(time.perf_counter() - start)
+    out = {
+        name: {
+            "seconds_median": float(np.median(seconds[name])),
+            "seconds": seconds[name],
+            "iterations": results[name].iterations,
+            "n_shards": results[name].extra["n_shards"],
+        }
+        for name in WARM_CALLS
+    }
+    out["warmup_calls"] = WARMUP_CALLS
+    out["auto_speedup_over_one_shard"] = (
+        out["pagerank_one_shard_converged"]["seconds_median"]
+        / out["pagerank_auto_converged"]["seconds_median"]
+    )
+    return out
+
+
 def run(quick: bool) -> dict:
     if quick:
         nodes, edges, iterations = QUICK_NODES, QUICK_EDGES, QUICK_ITERATIONS
@@ -268,6 +314,7 @@ def run(quick: bool) -> dict:
         },
         "spmm": bench_spmm(csr, k=8, repeats=3 if quick else 10),
         "cold_calls": bench_cold(graph, COLD_REPS[quick]),
+        "warm_calls": bench_warm(graph, WARM_REPS[quick]),
         "plan_cache": {
             "builds": PLAN_CACHE_STATS.builds,
             "hits": PLAN_CACHE_STATS.hits,
@@ -296,6 +343,14 @@ def run(quick: bool) -> dict:
             f"cold {name}: {cold['seconds_median'] * 1e3:9.1f} ms median "
             f"({cold['iterations']} iterations, {cold['n_shards']} shard(s))"
         )
+    warm = result["warm_calls"]
+    for name in WARM_CALLS:
+        print(
+            f"warm {name}: {warm[name]['seconds_median'] * 1e3:9.1f} ms "
+            f"median ({warm[name]['iterations']} iterations, "
+            f"{warm[name]['n_shards']} shard(s))"
+        )
+    print(f"warm auto over one shard: {warm['auto_speedup_over_one_shard']:.2f}x")
     return result
 
 

@@ -40,15 +40,21 @@ def check_shape(shape: tuple[int, int]) -> tuple[int, int]:
 def all_finite(a: np.ndarray) -> bool:
     """Allocation-free finiteness probe.
 
-    ``dot(a, a)`` is the sum of squares: any NaN makes it NaN, any Inf
-    makes it Inf/NaN, and squares cannot cancel — so a finite dot
-    product proves every element is finite.  The one caveat: magnitudes
-    beyond ~1e154 overflow the square and report non-finite; validation
-    errs on the loud side there, which is the contract (inputs that
-    large overflow the product anyway).
+    A NaN makes the sum NaN, and an Inf keeps it infinite or (against
+    an opposite Inf) turns it NaN — so a finite sum proves every
+    element is finite.  The one caveat: finite values whose sum passes
+    ~1.8e308 overflow and report non-finite; validation errs on the
+    loud side there, which is the contract (inputs that large overflow
+    the product anyway).  An overflowing sum or an opposite pair of
+    infinities also sets numpy's floating-point flags, so those inputs
+    may warn before the caller's ``ValidationError``.
+
+    The sum is numpy's own pairwise reduction, never BLAS: above ~10K
+    elements OpenBLAS splits a ``dot`` over its thread pool, whose
+    worker then busy-waits between calls and takes the core a second
+    SpMV shard needs (DESIGN.md §8, "No BLAS on the per-call path").
     """
-    flat = a.ravel(order="K")
-    return bool(np.isfinite(np.dot(flat, flat)))
+    return bool(np.isfinite(np.add.reduce(a.ravel(order="K"))))
 
 
 def coerce_array(a, name: str, ndim: int) -> np.ndarray:
@@ -90,9 +96,10 @@ def check_vector(x: np.ndarray, expected_len: int, name: str = "x") -> np.ndarra
     coerced once by :func:`coerce_array`, which raises a loud
     :class:`ValidationError` on un-coercible dtypes, wrong rank, or
     negative-stride views.  Every accepted vector is probed for NaN/Inf
-    (allocation-free, see :func:`all_finite`) so corruption surfaces at
-    the call that receives it instead of silently propagating through
-    hundreds of power-method iterations.
+    (one pass of numpy's own sum: no allocation and no BLAS call, see
+    :func:`all_finite`) so corruption surfaces at the call that
+    receives it instead of silently propagating through hundreds of
+    power-method iterations.
     """
     if not (
         isinstance(x, np.ndarray)

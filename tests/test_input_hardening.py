@@ -7,8 +7,9 @@ views, across every execution surface: bare ``check_vector``, cached
 plans of each matrix format, and the sharded executor.
 
 Finite magnitudes are drawn within ±1e75 so the allocation-free
-``dot(x, x)`` finiteness probe cannot overflow on genuinely finite
-input (its documented false-positive regime starts near 1e154).
+finiteness probe, a plain sum, cannot overflow on genuinely finite
+input (its documented false-positive regime starts where the sum
+passes ~1.8e308).
 """
 
 import numpy as np
@@ -75,6 +76,41 @@ def test_check_vector_accepts_all_finite(values):
     out = check_vector(x, x.size)
     assert out is x  # the fast path is a pass-through
     assert all_finite(out)
+
+
+@given(values=st.lists(finite, min_size=1, max_size=64),
+       bad=poison, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_all_finite_rejects_poison_in_any_layout(values, bad, data):
+    x = np.array(values, dtype=np.float64)
+    x[data.draw(st.integers(0, x.size - 1))] = bad
+    assert not all_finite(x)
+    rows = data.draw(st.sampled_from(
+        [d for d in range(1, x.size + 1) if x.size % d == 0]
+    ))
+    c_order = x.reshape(rows, -1)
+    assert c_order.flags.c_contiguous
+    assert not all_finite(c_order)
+    f_order = np.asfortranarray(c_order)
+    assert f_order.flags.f_contiguous
+    assert not all_finite(f_order)
+
+
+def test_all_finite_rejects_opposite_infinities():
+    # inf + -inf is NaN; numpy also warns about it, which is not the point.
+    with np.errstate(invalid="ignore"):
+        assert not all_finite(np.array([np.inf, -np.inf]))
+        assert not all_finite(
+            np.array([[1.0, np.inf], [-np.inf, 2.0]], order="F")
+        )
+
+
+def test_all_finite_accepts_large_finite_magnitudes():
+    """Finite values stay accepted even where their squares overflow."""
+    x = np.array([1e200, -1e200, 1e200, 3.0])
+    assert all_finite(x)
+    assert all_finite(np.asfortranarray(x.reshape(2, 2)))
+    assert check_vector(x, x.size) is x
 
 
 @given(values=st.lists(finite, min_size=2, max_size=64))

@@ -656,6 +656,11 @@ def test_hammer_queries_during_updates_from_eight_threads():
     plan over some *published* version's content — never a torn state,
     never a stale pre-update plan once the call started after the
     version bump.
+
+    The readers keep running after the last batch until one of them
+    has sampled the final published version, so the sample list and
+    the invalidation count do not depend on how a loaded host
+    schedules the threads.
     """
     from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
 
@@ -669,6 +674,8 @@ def test_hammer_queries_during_updates_from_eight_threads():
     results = []
     errors = []
     stop = threading.Event()
+    final_version = []
+    final_sampled = threading.Event()
     with ShardedExecutor(dyn, 3) as ex:
         backend = ex.backend
 
@@ -681,6 +688,8 @@ def test_hammer_queries_during_updates_from_eight_threads():
                     # the call: those pin the exact content queried.
                     if dyn.data_version == version:
                         results.append((version, out))
+                        if final_version and version == final_version[0]:
+                            final_sampled.set()
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -693,12 +702,19 @@ def test_hammer_queries_during_updates_from_eight_threads():
             for i in range(12):
                 dyn.apply_updates(stream[bounds[i]:bounds[i + 1]])
                 snapshots[dyn.data_version] = dyn.coo_snapshot()
+            final_version.append(dyn.data_version)
+            deadline = time.monotonic() + 120.0
+            while not (errors or final_sampled.wait(0.05)):
+                assert time.monotonic() < deadline, (
+                    "no reader sampled the final version within 120 s"
+                )
         finally:
             stop.set()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert results
+        assert any(version == final_version[0] for version, _ in results)
         assert ex.resilience_stats.get("invalidations", 0) >= 1
     expected = {
         version: build_plan(snapshot, backend=backend).execute(x)
