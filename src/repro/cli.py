@@ -179,21 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measured auto-tune: pick format x backend x shard count "
         "for a matrix and persist the decision",
     )
-    tune_p.add_argument(
-        "matrix", nargs="?", default=None, metavar="MATRIX.mtx",
-        help="MatrixMarket file to tune (or use --rmat)",
-    )
-    tune_p.add_argument(
-        "--rmat", action="store_true",
-        help="tune a synthetic R-MAT graph instead of a file",
-    )
-    tune_p.add_argument(
-        "--nodes", type=int, default=4096, help="R-MAT vertex count"
-    )
-    tune_p.add_argument(
-        "--edges", type=int, default=65536, help="R-MAT edge draws"
-    )
-    tune_p.add_argument("--seed", type=int, default=7)
+    _add_matrix_args(tune_p, "tune")
     tune_p.add_argument(
         "--quick", action="store_true",
         help="reduced warmup/repeat measurement budget (CI)",
@@ -245,21 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit a declarative scenario spec from a matrix and "
         "optionally write it as JSON",
     )
-    fit_p.add_argument(
-        "matrix", nargs="?", default=None, metavar="MATRIX.mtx",
-        help="MatrixMarket file to fit (or use --rmat)",
-    )
-    fit_p.add_argument(
-        "--rmat", action="store_true",
-        help="fit a synthetic R-MAT graph instead of a file",
-    )
-    fit_p.add_argument(
-        "--nodes", type=int, default=4096, help="R-MAT vertex count"
-    )
-    fit_p.add_argument(
-        "--edges", type=int, default=65536, help="R-MAT edge draws"
-    )
-    fit_p.add_argument("--seed", type=int, default=7)
+    _add_matrix_args(fit_p, "fit")
     fit_p.add_argument(
         "--name", default=None, help="spec name (default: file stem)"
     )
@@ -296,23 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         "timing overlay queries against full rebuilds and verifying "
         "every batch bitwise",
     )
-    update.add_argument(
-        "matrix", nargs="?", default=None, metavar="MATRIX.mtx",
-        help="MatrixMarket file to evolve (or use --rmat)",
-    )
-    update.add_argument(
-        "--rmat", action="store_true",
-        help="evolve a synthetic R-MAT graph instead of a file",
-    )
-    update.add_argument(
-        "--nodes", type=int, default=4096, help="R-MAT vertex count"
-    )
-    update.add_argument(
-        "--edges", type=int, default=65536, help="R-MAT edge draws"
-    )
-    update.add_argument(
-        "--seed", type=int, default=7,
-        help="seed for the graph and the update stream",
+    _add_matrix_args(
+        update, "evolve",
+        seed_help="seed for the graph and the update stream",
     )
     update.add_argument(
         "--format", dest="fmt", default="csr",
@@ -619,6 +577,28 @@ def _cmd_formats(_args) -> int:
     for err in errors:
         print(f"plugin error: {err['entry_point']}: {err['error']}")
     return 0
+
+
+def _add_matrix_args(
+    parser: argparse.ArgumentParser, verb: str, seed_help: str | None = None
+) -> None:
+    """Declare the matrix source that :func:`_load_matrix` reads:
+    ``MATRIX.mtx`` or ``--rmat`` with ``--nodes``/``--edges``/``--seed``."""
+    parser.add_argument(
+        "matrix", nargs="?", default=None, metavar="MATRIX.mtx",
+        help=f"MatrixMarket file to {verb} (or use --rmat)",
+    )
+    parser.add_argument(
+        "--rmat", action="store_true",
+        help=f"{verb} a synthetic R-MAT graph instead of a file",
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=4096, help="R-MAT vertex count"
+    )
+    parser.add_argument(
+        "--edges", type=int, default=65536, help="R-MAT edge draws"
+    )
+    parser.add_argument("--seed", type=int, default=7, help=seed_help)
 
 
 def _load_matrix(args):

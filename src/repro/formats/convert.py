@@ -1,17 +1,12 @@
 """Format conversions and dense round-trips.
 
-``FORMAT_BUILDERS`` used to be a hard-coded dict of seven converters;
-it is now a **live read-only view** over
-:mod:`repro.formats.registry`, so formats registered later — the
-load-balanced zoo, test fixtures, ``repro.formats`` entry-point
-plugins — appear here (and everywhere that enumerates this mapping:
-the tuner grid validation, the property/differential test sweeps, the
-CLI) without any code change.
+Every conversion goes through :mod:`repro.formats.registry`, so formats
+registered later — the load-balanced zoo, test fixtures,
+``repro.formats`` entry-point plugins — convert here with no code
+change.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -20,32 +15,7 @@ from repro.formats import registry
 from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 
-__all__ = ["FORMAT_BUILDERS", "from_dense", "to_format"]
-
-
-class _BuilderView(Mapping):
-    """Live ``{name: build}`` mapping over the format registry."""
-
-    def __getitem__(self, key):
-        return registry.get_format(key).build
-
-    def __iter__(self):
-        return iter(registry.format_names())
-
-    def __len__(self):
-        return len(registry.format_names())
-
-    def __contains__(self, key):
-        # Mapping's default __contains__ works via __getitem__, but
-        # get_format raises ValidationError (not KeyError) on misses.
-        return key in registry.format_names()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FORMAT_BUILDERS({registry.format_names()})"
-
-
-#: Converters from COO to each registered format (live registry view).
-FORMAT_BUILDERS = _BuilderView()
+__all__ = ["from_dense", "to_format"]
 
 
 def from_dense(dense: np.ndarray) -> COOMatrix:
@@ -64,11 +34,5 @@ def to_format(matrix: SparseMatrix, name: str, **kwargs) -> SparseMatrix:
     that cannot represent the matrix (DIA on non-banded, PKT on
     unclusterable inputs) — the same failures the paper reports.
     """
-    key = name.lower()
-    if key not in FORMAT_BUILDERS:
-        raise ValidationError(
-            f"unknown format {name!r}; expected one of "
-            f"{sorted(FORMAT_BUILDERS)}"
-        )
-    coo = matrix.to_coo()
-    return FORMAT_BUILDERS[key](coo, **kwargs)
+    build = registry.get_format(name).build
+    return build(matrix.to_coo(), **kwargs)

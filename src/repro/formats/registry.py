@@ -5,10 +5,9 @@ formats plus the load-balanced zoo (CMRS, row-grouped CSR, merge-path
 CSR) — is described by one :class:`FormatSpec` and registered here,
 mirroring :func:`repro.exec.backends.register_backend`.  Everything
 that used to hard-code a format list derives from this registry
-instead: ``FORMAT_BUILDERS`` (a live view), the differential test
-matrix, the tuner's model-pruned candidate grid, the native backend's
-plan dispatch, the multi-GPU memory accounting and the ``repro
-formats`` CLI.
+instead: ``to_format``, the differential test matrix, the tuner's
+model-pruned candidate grid, the native backend's plan dispatch, the
+multi-GPU memory accounting and the ``repro formats`` CLI.
 
 Third-party formats plug in without touching core, two ways:
 
@@ -88,19 +87,14 @@ class FormatSpec:
         the numba :class:`~repro.exec.native.NativeBackend` before its
         generic segmented-reduce fallback; return ``None`` to decline.
     supports_repair:
-        Whether compaction of a dynamic overlay can rebuild only the
-        row segments touched by the delta instead of re-running the
-        full ``build``.  Formats whose layout is a pure function of
-        per-row runs (COO, CSR) repair in O(nnz) scatter time; formats
-        with global layout decisions (strip packing, merge-path splits,
-        column clustering) must declare ``False`` and fall back to a
-        full rebuild.
-    repair:
-        ``repair(merged_coo, **kwargs) -> matrix`` incremental
-        constructor used when ``supports_repair`` is true.  It receives
-        the already row/col-sorted merged COO (untouched segments
-        spliced with repaired ones) and must produce a matrix bitwise
-        identical to ``build`` on the same input.
+        Whether compacting a dynamic overlay counts as a repair rather
+        than a rebuild.  Compaction always splices the overlay into the
+        base's row runs without a sort and then runs this format's own
+        ``build`` on the merged COO; a format declares ``True`` when
+        that ``build`` is a linear pass over the already sorted merge
+        (COO pass-through, CSR counting pass).  Formats with global
+        layout decisions (strip packing, merge-path splits, column
+        clustering) declare ``False`` and are counted as rebuilds.
     source:
         ``"builtin"`` or the entry-point name that registered it.
     """
@@ -114,7 +108,6 @@ class FormatSpec:
     tune_candidate: Callable | None = field(default=None, compare=False)
     native_plan: Callable | None = field(default=None, compare=False)
     supports_repair: bool = False
-    repair: Callable | None = field(default=None, compare=False)
     source: str = "builtin"
 
 
@@ -303,10 +296,10 @@ def _builtin_specs() -> list[FormatSpec]:
             name="coo", cls=COOMatrix, build=lambda coo, **kw: coo,
             description="row-sorted coordinate triples — the reference",
             bitwise=True,
-            # The merged COO *is* the repaired matrix: splicing the
-            # untouched row runs with the repaired ones already yields
+            # The merged COO *is* the compacted matrix: splicing the
+            # untouched row runs with the overlay's already yields
             # canonical row/col-sorted triples.
-            supports_repair=True, repair=lambda coo, **kw: coo,
+            supports_repair=True,
         ),
         FormatSpec(
             name="csr", cls=CSRMatrix,
@@ -315,9 +308,8 @@ def _builtin_specs() -> list[FormatSpec]:
             bitwise=True, model_kernel="csr-vector",
             native_plan=_native_csr,
             # from_coo on the spliced merge is a linear counting pass —
-            # no global sort — so it doubles as the repair constructor.
+            # no global sort.
             supports_repair=True,
-            repair=lambda coo, **kw: CSRMatrix.from_coo(coo),
         ),
         FormatSpec(
             name="csc", cls=CSCMatrix,

@@ -32,12 +32,12 @@ overlay, so the wrapper compacts them eagerly on every batch: the
 dynamic path then *is* the rebuilt matrix and the guarantee holds
 trivially.
 
-Compaction repairs incrementally where the format allows it
-(``FormatSpec.supports_repair``): the merged COO splices untouched row
-runs with the overlay's repaired runs in one O(nnz) scatter — no global
-sort — and repair-capable constructors (COO pass-through, CSR counting
-pass) rebuild only bookkeeping.  Everything else falls back to the
-registered full ``build`` and is counted honestly as a rebuild.
+Compaction splices untouched row runs with the overlay's runs in one
+O(nnz) scatter — no global sort — and then runs the format's own
+registered ``build`` on the merged COO.  Where that ``build`` is a
+linear pass over the sorted merge (``FormatSpec.supports_repair``: COO
+pass-through, CSR counting pass) the compaction counts as a repair;
+everything else is counted honestly as a rebuild.
 """
 
 from __future__ import annotations
@@ -776,12 +776,11 @@ class DynamicMatrix(SparseMatrix):
     def compact(self) -> "DynamicMatrix":
         """Fold the overlay into the base matrix; returns ``self``.
 
-        Repair-capable formats (``FormatSpec.supports_repair``) rebuild
-        from the spliced merge through their incremental ``repair``
-        constructor; everything else re-runs the full registered
-        ``build`` and is counted as a rebuild.  The swap is atomic and
-        fault-injected *before* commit, so an injected error leaves the
-        pre-compaction state intact.
+        The format's registered ``build`` runs on the spliced merge;
+        the compaction counts as a repair where the format declares
+        ``FormatSpec.supports_repair`` and as a rebuild otherwise.  The
+        swap is atomic and fault-injected *before* commit, so an
+        injected error leaves the pre-compaction state intact.
         """
         with self._lock:
             state = self._state
@@ -794,8 +793,8 @@ class DynamicMatrix(SparseMatrix):
 
     def _compact_locked(self, state, version: int) -> bool:
         """Fold ``state`` into a new base published as ``version``;
-        returns whether the format repaired incrementally.  Runs under
-        ``_lock``; the fault site fires before anything is published."""
+        returns whether it counts as a repair.  Runs under ``_lock``;
+        the fault site fires before anything is published."""
         merged = self._merged_coo(state)
         spec = self._spec
         if _faults._ARMED:
@@ -810,12 +809,9 @@ class DynamicMatrix(SparseMatrix):
             # repair contract to honour).
             new_base = merged
             repaired = False
-        elif spec.supports_repair and spec.repair is not None:
-            new_base = spec.repair(merged)
-            repaired = True
         else:
             new_base = spec.build(merged)
-            repaired = False
+            repaired = spec.supports_repair
         self._state = _OverlayState.empty(new_base, version)
         self._base_indptr = None
         self._base_coo = None

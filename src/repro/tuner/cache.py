@@ -13,6 +13,10 @@ cache is deliberately paranoid:
   environment (backends, CPU count, library versions) or different
   tuning options is treated as absent.
 
+An entry is served only on an exact match of fingerprint, environment
+and options.  Keys an older version stored beside those three (a
+degree ``signature``) are ignored, so such files keep serving hits.
+
 ``REPRO_TUNER_CACHE`` points the cache somewhere else, or disables it
 entirely with ``off``/``0``/``none``/``disabled``.  The default
 location is ``$XDG_CACHE_HOME/repro/tuner_cache.json`` (falling back
@@ -67,11 +71,6 @@ def resolve_cache_path() -> Path | None:
     return Path(raw).expanduser()
 
 
-def _count(name: str, **labels) -> None:
-    if _metrics._ENABLED:
-        _metrics.METRICS.inc(name, **labels)
-
-
 class TuningCache:
     """Fingerprint → decision store on one JSON file.
 
@@ -107,14 +106,14 @@ class TuningCache:
             with self.path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            _count("tuner.cache.corrupt", reason="unreadable")
+            _metrics.count("tuner.cache.corrupt", reason="unreadable")
             return {"version": CACHE_VERSION, "entries": {}}
         if (
             not isinstance(payload, dict)
             or payload.get("version") != CACHE_VERSION
             or not isinstance(payload.get("entries"), dict)
         ):
-            _count("tuner.cache.corrupt", reason="schema")
+            _metrics.count("tuner.cache.corrupt", reason="schema")
             return {"version": CACHE_VERSION, "entries": {}}
         return payload
 
@@ -123,54 +122,25 @@ class TuningCache:
     ) -> dict | None:
         """The cached decision dict, or ``None`` (miss/stale/corrupt)."""
         if self.path is None:
-            _count("tuner.cache.misses", reason="disabled")
+            _metrics.count("tuner.cache.misses", reason="disabled")
             return None
         entry = self._load()["entries"].get(fingerprint)
         if entry is None:
-            _count("tuner.cache.misses", reason="absent")
+            _metrics.count("tuner.cache.misses", reason="absent")
             return None
         if not isinstance(entry, dict) or not isinstance(
             entry.get("decision"), dict
         ):
-            _count("tuner.cache.corrupt", reason="entry")
+            _metrics.count("tuner.cache.corrupt", reason="entry")
             return None
         if (
             entry.get("environment") != environment
             or entry.get("options") != options
         ):
-            _count("tuner.cache.stale")
+            _metrics.count("tuner.cache.stale")
             return None
-        _count("tuner.cache.hits")
+        _metrics.count("tuner.cache.hits")
         return entry["decision"]
-
-    def revalidation_candidates(
-        self, environment: dict, options: dict
-    ) -> list[tuple[str, dict, dict]]:
-        """Entries eligible for drift-based revalidation.
-
-        Returns ``(fingerprint, signature, decision)`` triples for
-        every same-environment, same-options entry that recorded a
-        structural signature when it was stored.  Entries written
-        before signatures existed are skipped — without a signature
-        there is nothing to measure drift against, so they can only be
-        exact hits.
-        """
-        if self.path is None:
-            return []
-        out = []
-        for fingerprint, entry in self._load()["entries"].items():
-            if not isinstance(entry, dict):
-                continue
-            if (
-                entry.get("environment") != environment
-                or entry.get("options") != options
-            ):
-                continue
-            signature = entry.get("signature")
-            decision = entry.get("decision")
-            if isinstance(signature, dict) and isinstance(decision, dict):
-                out.append((fingerprint, signature, decision))
-        return out
 
     # ------------------------------------------------------------------
     # Writing
@@ -182,26 +152,16 @@ class TuningCache:
         environment: dict,
         options: dict,
         decision: dict,
-        signature: dict | None = None,
     ) -> None:
-        """Store (or overwrite) one entry atomically; no-op if disabled.
-
-        ``signature`` (a :func:`~repro.tuner.fingerprint.degree_signature`
-        payload) makes the entry eligible for drift-based revalidation
-        after the matrix mutates; entries stored without one only ever
-        serve exact fingerprint hits.
-        """
+        """Store (or overwrite) one entry atomically; no-op if disabled."""
         if self.path is None:
             return
         payload = self._load()
-        entry = {
+        payload["entries"][fingerprint] = {
             "environment": environment,
             "options": options,
             "decision": decision,
         }
-        if signature is not None:
-            entry["signature"] = signature
-        payload["entries"][fingerprint] = entry
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             tmp = self.path.with_name(
@@ -213,9 +173,9 @@ class TuningCache:
         except OSError:
             # An unwritable cache degrades to tuning-per-process; it
             # must never take the computation down with it.
-            _count("tuner.cache.corrupt", reason="unwritable")
+            _metrics.count("tuner.cache.corrupt", reason="unwritable")
             return
-        _count("tuner.cache.stores")
+        _metrics.count("tuner.cache.stores")
 
     def clear(self) -> None:
         """Delete the cache file (tests and the CLI ``--force`` path)."""

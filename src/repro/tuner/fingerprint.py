@@ -23,17 +23,10 @@ from repro.exec.backends import available_backends, default_backend_name
 from repro.version import __version__
 
 __all__ = [
-    "degree_signature",
     "environment_key",
     "matrix_fingerprint",
-    "signature_drift",
     "spec_fingerprint",
 ]
-
-#: Log2 degree buckets per axis in a :func:`degree_signature` — enough
-#: to distinguish every power-law tail the corpus generates while the
-#: stored payload stays a few dozen floats.
-SIGNATURE_BUCKETS = 64
 
 
 def _histogram_crc(matrix) -> int:
@@ -74,72 +67,6 @@ def matrix_fingerprint(matrix) -> str:
         f"{matrix.n_rows}x{matrix.n_cols}-nnz{matrix.nnz}"
         f"-{_value_dtype(matrix)}-{_histogram_crc(matrix):08x}"
     )
-
-
-def _bucketed(lengths: np.ndarray) -> list[float]:
-    """Normalised log2-bucketed degree histogram (JSON-ready).
-
-    Bucket ``b`` counts the rows/cols of degree in ``[2^(b-1), 2^b)``
-    (bucket 0 is degree 0); normalising to mass 1 makes two signatures
-    comparable across scales, which is exactly what drift needs — an
-    updated graph keeps its degree *shape* unless the stream really
-    changed the structure class.
-    """
-    lengths = np.asarray(lengths)
-    if lengths.size == 0:
-        return [0.0] * SIGNATURE_BUCKETS
-    buckets = np.zeros(lengths.size, dtype=np.int64)
-    positive = lengths > 0
-    buckets[positive] = (
-        np.floor(np.log2(lengths[positive])).astype(np.int64) + 1
-    ).clip(1, SIGNATURE_BUCKETS - 1)
-    hist = np.bincount(buckets, minlength=SIGNATURE_BUCKETS).astype(float)
-    return list(hist / hist.sum())
-
-
-def degree_signature(matrix) -> dict:
-    """Drift-comparable structural signature of a matrix.
-
-    Where :func:`matrix_fingerprint` is an exact equality key (one
-    flipped degree changes the CRC), the signature is the *metric*
-    companion: shape, nnz, dtype and the normalised log2-bucketed
-    row/col degree histograms, against which
-    :func:`signature_drift` measures how far an updated matrix has
-    moved from the one a cached tuning decision was measured on.
-    """
-    return {
-        "shape": [int(matrix.n_rows), int(matrix.n_cols)],
-        "nnz": int(matrix.nnz),
-        "dtype": _value_dtype(matrix),
-        "row_hist": _bucketed(matrix.row_lengths()),
-        "col_hist": _bucketed(matrix.col_lengths()),
-    }
-
-
-def signature_drift(a: dict, b: dict) -> float:
-    """Structural distance between two signatures, in ``[0, 1]``.
-
-    The maximum of: total-variation distance of the row histograms, of
-    the column histograms, and the relative nnz change (capped at 1).
-    Incomparable signatures — different shape or dtype, malformed
-    payloads — drift maximally: the caller must re-tune, never reuse.
-    """
-    try:
-        if list(a["shape"]) != list(b["shape"]) or a["dtype"] != b["dtype"]:
-            return 1.0
-        nnz_a, nnz_b = int(a["nnz"]), int(b["nnz"])
-        denom = max(nnz_a, nnz_b, 1)
-        nnz_drift = abs(nnz_a - nnz_b) / denom
-        drifts = [min(nnz_drift, 1.0)]
-        for key in ("row_hist", "col_hist"):
-            ha = np.asarray(a[key], dtype=float)
-            hb = np.asarray(b[key], dtype=float)
-            if ha.shape != hb.shape:
-                return 1.0
-            drifts.append(0.5 * float(np.abs(ha - hb).sum()))
-    except (KeyError, TypeError, ValueError):
-        return 1.0
-    return max(drifts)
 
 
 def spec_fingerprint(spec, *, scale: float = 1.0, seed: int = 0) -> str:

@@ -24,6 +24,8 @@ matrix's SpMV fastest on this host:
 3. **Persist the decision** in the :class:`~repro.tuner.cache.TuningCache`
    keyed by matrix fingerprint, environment and tuning options, so the
    next process gets the same decision in O(1) with zero measurements.
+   Reuse needs an exact match of all three: a matrix whose structure
+   changed (a dynamic-graph compaction, say) misses and is re-measured.
 """
 
 from __future__ import annotations
@@ -39,17 +41,13 @@ from repro.errors import (
     FormatNotApplicableError,
     ValidationError,
 )
-from repro.formats.convert import FORMAT_BUILDERS, to_format
+from repro.formats import registry
+from repro.formats.convert import to_format
 from repro.gpu.spec import DeviceSpec
 from repro.obs import metrics as _metrics
 from repro.obs.trace import trace
 from repro.tuner.cache import TuningCache
-from repro.tuner.fingerprint import (
-    degree_signature,
-    environment_key,
-    matrix_fingerprint,
-    signature_drift,
-)
+from repro.tuner.fingerprint import environment_key, matrix_fingerprint
 
 __all__ = [
     "DEFAULT_REPEATS",
@@ -72,22 +70,10 @@ ELL_MAX_PADDING_RATIO = 16.0
 DEFAULT_REPEATS = 5
 DEFAULT_WARMUP = 2
 
-#: Default structural-drift ceiling for ``revalidate=True``: an update
-#: stream that moved the degree histograms or nnz by less than this
-#: fraction keeps the cached decision (SpMV cost is a function of the
-#: structure class, which such a stream has not left); anything past it
-#: re-measures.
-DRIFT_THRESHOLD = 0.25
-
 #: Each timing sample batches enough runs to last at least this long:
 #: a single small-matrix SpMV sits at the scale of timer jitter and
 #: scheduler noise, and medians over such samples mis-rank candidates.
 MIN_SAMPLE_SECONDS = 2e-3
-
-
-def _count(name: str, **labels) -> None:
-    if _metrics._ENABLED:
-        _metrics.METRICS.inc(name, **labels)
 
 
 @dataclass
@@ -109,10 +95,6 @@ class TuningDecision:
     candidates: list = field(default_factory=list)
     #: Whether this decision was resolved from the persistent cache.
     from_cache: bool = False
-    #: Whether a cache resolution came through drift revalidation (the
-    #: exact fingerprint missed but a same-environment entry within the
-    #: drift threshold was re-keyed) rather than an exact hit.
-    revalidated: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -127,7 +109,7 @@ class TuningDecision:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TuningDecision":
-        if payload.get("format") not in FORMAT_BUILDERS:
+        if payload.get("format") not in registry.format_names():
             raise ValidationError(
                 f"decision names unknown format {payload.get('format')!r}"
             )
@@ -165,12 +147,11 @@ class TuningDecision:
         return to_format(matrix, self.format).spmv_plan(self.backend)
 
 
-def _pruned_formats(
-    matrix, device: DeviceSpec
-) -> tuple[list[str], str | None, dict[str, str]]:
+def _pruned_formats(matrix) -> tuple[list[str], str | None, dict[str, str]]:
     """Model-seeded format shortlist: the §5 pick plus the CSR
     baseline plus any registry candidates, with statistics-based
-    vetoes recorded per format.
+    vetoes recorded per format.  The model prices every kernel on the
+    paper's Tesla C1060.
 
     Two registry hooks make the grid open to new formats with no code
     change here: every registered ``model_kernel`` joins the
@@ -180,19 +161,20 @@ def _pruned_formats(
     measured shortlist directly.
     """
     from repro.core.selector import SELECTABLE, select_kernel
-    from repro.formats.registry import model_kernel_map, specs
 
     skipped: dict[str, str] = {}
-    kernel_format = model_kernel_map()
+    kernel_format = registry.model_kernel_map()
     candidates = tuple(
         dict.fromkeys((*SELECTABLE, *kernel_format))
     )
-    choice = select_kernel(matrix, device, candidates=candidates)
+    choice = select_kernel(
+        matrix, DeviceSpec.tesla_c1060(), candidates=candidates
+    )
     formats = [BASELINE_FORMAT]
     picked = kernel_format.get(choice.kernel)
     if picked and picked not in formats:
         formats.append(picked)
-    for spec in specs():
+    for spec in registry.specs():
         if spec.tune_candidate is None or spec.name in formats:
             continue
         try:
@@ -217,7 +199,6 @@ def _pruned_formats(
 
 def candidate_grid(
     matrix,
-    device: DeviceSpec | None = None,
     *,
     formats: tuple | list | None = None,
     backends: tuple | list | None = None,
@@ -246,21 +227,14 @@ def candidate_grid(
     )
     from repro.exec.sharded import auto_shard_count
 
-    device = device or DeviceSpec.tesla_c1060()
     model_kernel: str | None = None
     skipped: dict[str, str] = {}
     if formats is None:
-        format_list, model_kernel, skipped = _pruned_formats(
-            matrix, device
-        )
+        format_list, model_kernel, skipped = _pruned_formats(matrix)
     else:
         format_list = [str(f).lower() for f in formats]
         for name in format_list:
-            if name not in FORMAT_BUILDERS:
-                raise ValidationError(
-                    f"unknown format {name!r}; expected one of "
-                    f"{sorted(FORMAT_BUILDERS)}"
-                )
+            registry.get_format(name)  # ValidationError on unknown names
     if backends is not None:
         backend_list = [str(b) for b in backends]
     elif os.environ.get("REPRO_SPMV_BACKEND"):
@@ -347,7 +321,6 @@ def _normalise_options(
 def tune(
     matrix,
     *,
-    device: DeviceSpec | None = None,
     formats: tuple | list | None = None,
     backends: tuple | list | None = None,
     shard_counts: tuple | list | None = None,
@@ -355,7 +328,6 @@ def tune(
     warmup: int = DEFAULT_WARMUP,
     cache: TuningCache | str | None = "env",
     force: bool = False,
-    revalidate: bool | float = False,
 ) -> TuningDecision:
     """Pick (and persist) the fastest execution configuration.
 
@@ -377,22 +349,11 @@ def tune(
     force:
         Re-measure even when a fresh cached decision exists (the new
         decision overwrites the cached one).
-    revalidate:
-        Drift-based cache revalidation for mutated matrices.  The
-        exact-fingerprint path is untouched; on an exact miss,
-        same-environment/same-options entries whose stored degree
-        signature sits within the drift threshold
-        (:data:`DRIFT_THRESHOLD` for ``True``, the given float
-        otherwise) are re-keyed under the new fingerprint and returned
-        as a revalidated hit instead of re-measuring.  Past the
-        threshold the structure has genuinely changed and the grid is
-        measured afresh (``tuner.cache.drift_retune``).
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ValidationError(f"warmup must be >= 0, got {warmup}")
-    device = device or DeviceSpec.tesla_c1060()
     if not isinstance(cache, TuningCache):
         cache = TuningCache(cache)
     fingerprint = matrix_fingerprint(matrix)
@@ -401,42 +362,22 @@ def tune(
         formats, backends, shard_counts, repeats, warmup
     )
 
-    if revalidate is True:
-        drift_limit: float | None = DRIFT_THRESHOLD
-    elif revalidate is False or revalidate is None:
-        drift_limit = None
-    else:
-        drift_limit = float(revalidate)
-        if not 0.0 <= drift_limit <= 1.0:
-            raise ValidationError(
-                f"revalidate threshold must be in [0, 1], got {drift_limit}"
-            )
-    signature = degree_signature(matrix) if cache.enabled else None
-
     if not force:
         hit = cache.get(fingerprint, environment, options)
         if hit is not None:
             try:
                 decision = TuningDecision.from_dict(hit)
             except (KeyError, TypeError, ValueError, ValidationError):
-                _count("tuner.cache.corrupt", reason="decision")
+                _metrics.count("tuner.cache.corrupt", reason="decision")
             else:
                 if decision.fingerprint == fingerprint:
                     decision.from_cache = True
-                    _count("tuner.decisions", source="cache")
+                    _metrics.count("tuner.decisions", source="cache")
                     return decision
-                _count("tuner.cache.stale")
-        if drift_limit is not None and signature is not None:
-            decision = _revalidate(
-                cache, fingerprint, signature, environment, options,
-                drift_limit,
-            )
-            if decision is not None:
-                return decision
+                _metrics.count("tuner.cache.stale")
 
     candidates, meta = candidate_grid(
         matrix,
-        device,
         formats=formats,
         backends=backends,
         shard_counts=shard_counts,
@@ -467,11 +408,10 @@ def tune(
                 record["error"] = str(exc)
                 continue
             record["seconds"] = seconds
-            if _metrics._ENABLED:
-                _metrics.METRICS.observe(
-                    "tuner.measure.seconds", seconds,
-                    format=fmt, backend=backend, n_shards=n_shards,
-                )
+            _metrics.observe(
+                "tuner.measure.seconds", seconds,
+                format=fmt, backend=backend, n_shards=n_shards,
+            )
             if best is None or seconds < best["seconds"]:
                 best = record
         for fmt, reason in meta["skipped"].items():
@@ -492,60 +432,6 @@ def tune(
         model_kernel=meta["model_kernel"],
         candidates=rows,
     )
-    cache.put(
-        fingerprint, environment, options, decision.to_dict(),
-        signature=signature,
-    )
-    _count("tuner.decisions", source="measured")
-    return decision
-
-
-def _revalidate(
-    cache: TuningCache,
-    fingerprint: str,
-    signature: dict,
-    environment: dict,
-    options: dict,
-    drift_limit: float,
-) -> TuningDecision | None:
-    """Resolve an exact-fingerprint miss through signature drift.
-
-    Scans same-environment/same-options entries that stored a degree
-    signature, takes the structurally nearest one, and — when it sits
-    within ``drift_limit`` — re-keys its decision under the new
-    fingerprint (so the *next* lookup is an exact O(1) hit) and returns
-    it as a revalidated cache decision.  Returns ``None`` when nothing
-    qualifies; a candidate past the threshold additionally counts a
-    ``tuner.cache.drift_retune`` so dashboards can tell "no history"
-    from "history invalidated by drift".
-    """
-    candidates = cache.revalidation_candidates(environment, options)
-    if not candidates:
-        return None
-    best_drift, best_decision = None, None
-    for _, cached_signature, decision_dict in candidates:
-        drift = signature_drift(signature, cached_signature)
-        if best_drift is None or drift < best_drift:
-            best_drift, best_decision = drift, decision_dict
-    if best_drift is None or best_drift > drift_limit:
-        _count("tuner.cache.drift_retune")
-        if _metrics._ENABLED:
-            _metrics.METRICS.observe("tuner.cache.drift", best_drift or 1.0)
-        return None
-    try:
-        decision = TuningDecision.from_dict(best_decision)
-    except (KeyError, TypeError, ValueError, ValidationError):
-        _count("tuner.cache.corrupt", reason="decision")
-        return None
-    decision.fingerprint = fingerprint
-    decision.from_cache = True
-    decision.revalidated = True
-    cache.put(
-        fingerprint, environment, options, decision.to_dict(),
-        signature=signature,
-    )
-    _count("tuner.cache.revalidated")
-    if _metrics._ENABLED:
-        _metrics.METRICS.observe("tuner.cache.drift", best_drift)
-    _count("tuner.decisions", source="revalidated")
+    cache.put(fingerprint, environment, options, decision.to_dict())
+    _metrics.count("tuner.decisions", source="measured")
     return decision

@@ -232,15 +232,6 @@ def test_repair_capable_formats_never_silently_rebuild():
         )
 
 
-def test_repair_flag_honest_about_builtins():
-    # The split must stay explicit: repair-capable formats carry a
-    # repair callable, the rest rebuild and say so.
-    for fmt in ALL_FORMATS:
-        spec = get_format(fmt)
-        if spec.supports_repair:
-            assert spec.repair is not None, fmt
-
-
 def test_update_semantics_unit_cases():
     base = COOMatrix(
         np.array([0, 0, 1]), np.array([0, 2, 1]),

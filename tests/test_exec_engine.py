@@ -25,16 +25,17 @@ from repro.exec import (
     set_default_backend,
 )
 from repro.formats.base import check_vector
-from repro.formats.convert import FORMAT_BUILDERS, to_format
+from repro.formats.convert import to_format
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.formats.registry import format_names
 from repro.mining.hits import hits
 from repro.mining.rwr import random_walk_with_restart
 
-# FORMAT_BUILDERS is a live view over repro.formats.registry, so this
-# sweep — like the differential and sharded suites — follows the
-# registry as its single source of truth.
-ALL_FORMATS = sorted(FORMAT_BUILDERS)
+# Read from repro.formats.registry, so this sweep — like the
+# differential and sharded suites — follows the registry as its single
+# source of truth.
+ALL_FORMATS = sorted(format_names())
 BACKENDS = available_backends()
 
 

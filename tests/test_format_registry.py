@@ -1,6 +1,6 @@
 """Format/kernel plugin registry: builtins, live views, entry points.
 
-The registry is the single source of truth behind ``FORMAT_BUILDERS``,
+The registry is the single source of truth behind ``to_format``,
 the tuner's model-pruned grid, the native backend's plan dispatch and
 the multi-GPU memory accounting — these tests pin each derivation,
 plus the ``repro.formats`` entry-point discovery contract (a broken
@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.formats import registry
-from repro.formats.convert import FORMAT_BUILDERS, to_format
+from repro.formats.convert import to_format
 from repro.formats.coo import COOMatrix
 from repro.formats.registry import (
     FormatSpec,
@@ -127,18 +127,17 @@ def test_model_kernel_map_covers_zoo():
 
 
 # ----------------------------------------------------------------------
-# Live derivations: FORMAT_BUILDERS, to_format, tuner grid, multigpu
+# Live derivations: to_format, tuner grid, multigpu
 # ----------------------------------------------------------------------
 
 
-def test_format_builders_is_live_registry_view(registered_toy):
-    assert "toyfmt" in FORMAT_BUILDERS
-    assert sorted(FORMAT_BUILDERS) == sorted(format_names())
+def test_to_format_follows_the_live_registry(registered_toy):
+    assert "toyfmt" in format_names()
     built = to_format(small_coo(), "toyfmt")
     assert type(built) is ToyMatrix
     unregister_format("toyfmt")
     try:
-        assert "toyfmt" not in FORMAT_BUILDERS
+        assert "toyfmt" not in format_names()
         with pytest.raises(ValidationError):
             to_format(small_coo(), "toyfmt")
     finally:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatNotApplicableError
-from repro.formats.convert import FORMAT_BUILDERS, from_dense, to_format
+from repro.formats.convert import from_dense, to_format
 from repro.formats.coo import COOMatrix
+from repro.formats.registry import format_names
 
 
 @st.composite
@@ -30,7 +31,7 @@ def vectors_for(draw, n: int):
     return np.random.default_rng(seed).standard_normal(n)
 
 
-@pytest.mark.parametrize("fmt", sorted(FORMAT_BUILDERS))
+@pytest.mark.parametrize("fmt", sorted(format_names()))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_format_spmv_matches_dense(fmt, data):
@@ -45,7 +46,7 @@ def test_format_spmv_matches_dense(fmt, data):
     np.testing.assert_allclose(converted.spmv(x), expected, atol=1e-9)
 
 
-@pytest.mark.parametrize("fmt", sorted(FORMAT_BUILDERS))
+@pytest.mark.parametrize("fmt", sorted(format_names()))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_format_roundtrip_preserves_structure(fmt, data):

@@ -131,14 +131,14 @@ class TestCompiledKernels:
             NativeELLPlan,
             NativeSegPlan,
         )
-        from repro.formats.convert import FORMAT_BUILDERS
+        from repro.formats.convert import to_format
 
         m = rmat_graph(64, 400, seed=7)
         backend = NativeBackend()
         assert isinstance(
-            backend.build_plan(FORMAT_BUILDERS["csr"](m)), NativeCSRPlan
+            backend.build_plan(to_format(m, "csr")), NativeCSRPlan
         )
-        ell = FORMAT_BUILDERS["ell"](m)
+        ell = to_format(m, "ell")
         expected = (
             NativeELLPlan if _left_justified(ell.valid) else NativeSegPlan
         )
@@ -147,14 +147,14 @@ class TestCompiledKernels:
 
     @pytest.mark.parametrize("fmt", ["coo", "csr", "ell"])
     def test_kernels_bitwise_match_native_reference(self, fmt):
-        from repro.formats.convert import FORMAT_BUILDERS
+        from repro.formats.convert import to_format
 
         m = rmat_graph(96, 700, seed=11)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(m.n_cols)
         X = rng.standard_normal((m.n_cols, 3))
         reference = m.to_coo().spmv_plan("native")
-        plan = FORMAT_BUILDERS[fmt](m).spmv_plan("native")
+        plan = to_format(m, fmt).spmv_plan("native")
         np.testing.assert_array_equal(
             plan.execute(x), reference.execute(x)
         )

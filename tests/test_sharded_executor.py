@@ -25,8 +25,9 @@ from repro.exec import (
     build_plan,
     env_shard_count,
 )
-from repro.formats.convert import FORMAT_BUILDERS, to_format
+from repro.formats.convert import to_format
 from repro.formats.coo import COOMatrix
+from repro.formats.registry import format_names
 from repro.mining.hits import hits
 from repro.mining.pagerank import pagerank, pagerank_operator
 from repro.mining.rwr import random_walk_with_restart
@@ -35,7 +36,7 @@ from tests.test_exec_engine import build, random_coo
 
 # Live registry view — same source of truth as the exec/differential
 # suites; newly registered formats are swept automatically.
-ALL_FORMATS = sorted(FORMAT_BUILDERS)
+ALL_FORMATS = sorted(format_names())
 BACKENDS = available_backends()
 SHARD_COUNTS = [1, 2, 3, 7, 64]  # 64 > n_rows of the 40-row fixture
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.exec.sharded import ShardedExecutor
-from repro.formats.convert import FORMAT_BUILDERS
+from repro.formats.registry import format_names
 from repro.graphs.rmat import rmat_graph
 from repro.mining.pagerank import pagerank
 from repro.obs import metrics as metrics_mod
@@ -241,7 +241,7 @@ class TestCandidateGrid:
 class TestTune:
     def test_decision_is_valid_and_engine_correct(self, matrix):
         decision = quick_tune(matrix)
-        assert decision.format in FORMAT_BUILDERS
+        assert decision.format in format_names()
         assert decision.n_shards >= 1
         assert decision.seconds > 0
         assert not decision.from_cache
@@ -520,12 +520,13 @@ class TestScenarioTwins:
 
 
 # ----------------------------------------------------------------------
-# Drift-based cache revalidation after dynamic updates
+# The exact cache key: fingerprint, environment and options
 # ----------------------------------------------------------------------
 
 
-class TestRevalidation:
-    def _updated(self, matrix, n_ops, seed=3):
+class TestExactKey:
+    @staticmethod
+    def _updated(matrix, n_ops, seed=3):
         from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
 
         dyn = DynamicMatrix(matrix.to_coo())
@@ -533,60 +534,10 @@ class TestRevalidation:
         dyn.compact()
         return dyn.base
 
-    def test_signature_and_drift_basics(self, matrix):
-        from repro.tuner.fingerprint import degree_signature, signature_drift
-
-        sig = degree_signature(matrix)
-        assert sig == degree_signature(rmat_graph(512, 4096, seed=11))
-        assert signature_drift(sig, sig) == 0.0
-        small = degree_signature(self._updated(matrix, 32))
-        big = degree_signature(rmat_graph(512, 12288, seed=4))
-        assert 0.0 < signature_drift(sig, small) < signature_drift(sig, big)
-        other_shape = degree_signature(rmat_graph(256, 2048, seed=11))
-        assert signature_drift(sig, other_shape) == 1.0
-        assert signature_drift(sig, {"broken": True}) == 1.0
-
-    def test_small_drift_revalidates_from_cache(self, matrix):
-        seeded = quick_tune(matrix)
-        assert not seeded.from_cache
-        updated = self._updated(matrix, 32)
-        assert matrix_fingerprint(updated) != seeded.fingerprint
-        with obs():
-            decision = quick_tune(updated, revalidate=True)
-            assert decision.from_cache
-            assert decision.revalidated
-            assert decision.format == seeded.format
-            assert decision.fingerprint == matrix_fingerprint(updated)
-            assert METRICS.counter_total("tuner.cache.revalidated") == 1
-        # Revalidation re-keyed the decision: the updated matrix now
-        # replays its own exact row, no drift scan needed.
-        again = quick_tune(updated, revalidate=True)
-        assert again.from_cache
-        assert not again.revalidated
-
-    def test_large_drift_retunes(self, matrix):
-        quick_tune(matrix)
-        # Same shape, radically different degree structure: every entry
-        # in one hub row.
-        from repro.formats.coo import COOMatrix
-
-        rng = np.random.default_rng(0)
-        hub = COOMatrix.from_unsorted(
-            np.zeros(4096, dtype=np.int64),
-            rng.integers(0, 512, size=4096),
-            rng.standard_normal(4096),
-            matrix.shape,
-        )
-        with obs():
-            decision = quick_tune(hub, revalidate=True)
-            assert not decision.from_cache
-            assert not decision.revalidated
-            assert METRICS.counter_total("tuner.cache.drift_retune") >= 1
-
     def test_no_false_exact_hits_across_update(self, matrix):
         seeded = quick_tune(matrix)
         updated = self._updated(matrix, 32)
-        # Without opting into revalidation the updated twin must
+        # A compaction changes the fingerprint: the updated twin must
         # measure for itself — never silently replay the stale row.
         decision = quick_tune(updated)
         assert not decision.from_cache
@@ -595,52 +546,38 @@ class TestRevalidation:
         assert quick_tune(matrix).from_cache
         assert quick_tune(updated).from_cache
 
-    def test_revalidate_accepts_explicit_threshold(self, matrix):
-        quick_tune(matrix)
-        updated = self._updated(matrix, 32)
-        # A zero threshold admits nothing: same as a plain miss.
-        strict = quick_tune(updated, revalidate=0.0)
-        assert not strict.revalidated
-        loose = quick_tune(self._updated(matrix, 32, seed=9),
-                           revalidate=1.0)
-        assert loose.from_cache
-        assert loose.revalidated
-
-    def test_revalidate_validation(self, matrix):
-        with pytest.raises(ValidationError):
-            quick_tune(matrix, revalidate=1.5)
-        with pytest.raises(ValidationError):
-            quick_tune(matrix, revalidate=-0.1)
-
-    def test_exact_hits_ignore_revalidate_flag(self, matrix):
-        seeded = quick_tune(matrix)
-        decision = quick_tune(matrix, revalidate=True)
-        # revalidate is deliberately not part of the cache key: the
-        # exact fingerprint still hits entries stored without it.
-        assert decision.from_cache
-        assert not decision.revalidated
-        assert decision.fingerprint == seeded.fingerprint
-
-    def test_signatureless_entries_only_serve_exact_hits(
+    def test_stored_entry_holds_only_key_and_decision(
         self, matrix, isolated_cache
     ):
-        from repro.tuner.cache import TuningCache
+        decision = quick_tune(matrix)
+        entries = json.loads(isolated_cache.read_text())["entries"]
+        entry = entries[decision.fingerprint]
+        assert set(entry) == {"environment", "options", "decision"}
+        assert entry["environment"] == environment_key()
+        assert entry["decision"] == decision.to_dict()
 
+    def test_entry_with_legacy_signature_key_is_an_exact_hit(
+        self, matrix, isolated_cache
+    ):
         seeded = quick_tune(matrix)
-        # Strip the stored signature, emulating a pre-signature cache.
+        # Older versions stored a degree signature beside each entry;
+        # such files must still serve their exact hits.
         payload = json.loads(isolated_cache.read_text())
-        for entry in payload["entries"].values():
-            entry.pop("signature", None)
+        entry = payload["entries"][seeded.fingerprint]
+        entry["signature"] = {
+            "shape": [matrix.n_rows, matrix.n_cols],
+            "nnz": matrix.nnz,
+            "dtype": "float64",
+            "row_hist": [1.0],
+            "col_hist": [1.0],
+        }
         isolated_cache.write_text(json.dumps(payload))
-        assert quick_tune(matrix).from_cache  # exact hit still works
-        cache = TuningCache()
-        assert cache.revalidation_candidates(
-            environment_key(), {}
-        ) == []
-        updated = self._updated(matrix, 32)
-        decision = quick_tune(updated, revalidate=True)
-        assert not decision.from_cache  # nothing to drift against
-        assert seeded.fingerprint  # seeded row untouched throughout
+        with obs():
+            decision = quick_tune(matrix)
+            assert decision.from_cache
+            assert METRICS.counter_total("tuner.cache.hits") == 1
+            assert TRACE.find("tuner.measure") == []
+        assert decision.to_dict() == seeded.to_dict()
 
 
 # ----------------------------------------------------------------------
