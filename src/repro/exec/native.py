@@ -401,9 +401,11 @@ class NativeCSRPlan(SpMVPlan):
             if isinstance(matrix, CSRMatrix)
             else CSRMatrix.from_coo(matrix.to_coo())
         )
-        self.indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(csr.data, dtype=np.float64)
+        # The kernels compile per index width: the CSR's own arrays
+        # (int32 below 2**31) run as they are.
+        self.indptr = csr.indptr
+        self.indices = csr.indices
+        self.data = csr.data
         self._k = kernels()
         if parallel is None:
             parallel = _parallel_enabled() and self.n_rows >= MIN_PARALLEL_ROWS
@@ -476,8 +478,8 @@ class NativeSegPlan(SpMVPlan):
         self.target_rows = np.ascontiguousarray(
             segments.target_rows, dtype=np.int64
         )
-        self.cols = np.ascontiguousarray(coo.cols, dtype=np.int64)
-        self.data = np.ascontiguousarray(coo.data, dtype=np.float64)
+        self.cols = coo.cols
+        self.data = coo.data
         self._k = kernels()
 
     def _execute(self, x: np.ndarray, out: np.ndarray) -> None:

@@ -171,7 +171,10 @@ class _SegmentReduction:
         n_rows = indptr.size - 1
         lengths = np.diff(indptr)
         nonempty = np.nonzero(lengths)[0]
-        return cls(indptr[:-1][nonempty], nonempty, n_rows)
+        # ``reduceat`` indexes in intp: narrower starts would be cast on
+        # every call, so they widen once here (O(rows)).
+        starts = indptr[:-1][nonempty].astype(np.intp, copy=False)
+        return cls(starts, nonempty, n_rows)
 
     @classmethod
     def from_sorted_rows(
@@ -422,6 +425,21 @@ class _GatherReducePlan(SpMVPlan):
     def plan_nnz(self) -> int:
         return self.values.size
 
+    @property
+    def _gather(self) -> np.ndarray:
+        """``gather_cols`` in intp, the index type of ``np.take``.
+
+        The plan holds the format's own 32-bit indices and builds in
+        O(rows); ``np.take`` would cast them to a fresh intp array on
+        every call, so the first call widens them once and keeps the
+        copy (a race builds two equal copies, one of which is kept).
+        """
+        cols = self.__dict__.get("_gather_intp")
+        if cols is None:
+            cols = self.gather_cols.astype(np.intp, copy=False)
+            self._gather_intp = cols
+        return cols
+
     def _reduce(
         self, products: np.ndarray, out: np.ndarray, tag: str
     ) -> None:
@@ -438,7 +456,7 @@ class _GatherReducePlan(SpMVPlan):
             out.fill(0.0)
             return
         prod = self.pool.buffer("prod" + tag, nnz)
-        np.take(x, self.gather_cols, out=prod, mode="clip")
+        np.take(x, self._gather, out=prod, mode="clip")
         np.multiply(prod, self.values, out=prod)
         self._reduce(prod, out, tag)
 
@@ -458,8 +476,9 @@ class _GatherReducePlan(SpMVPlan):
         np.copyto(XT, X.T)
         prod = self.pool.buffer("prod" + tag, nnz)
         ycol = self.pool.buffer("spmm:y" + tag, self.n_rows)
+        cols = self._gather
         for j in range(k):
-            np.take(XT[j], self.gather_cols, out=prod, mode="clip")
+            np.take(XT[j], cols, out=prod, mode="clip")
             np.multiply(prod, self.values, out=prod)
             self._reduce(prod, ycol, tag)
             out[:, j] = ycol

@@ -3,12 +3,13 @@
 The multi-GPU design — row partitioning, per-node local SpMV,
 allgather — runs here as *real* parallel work.  The executor compiles
 one CSR of the matrix, and each shard is a row range ``[lo, hi)`` of
-it: a :class:`~repro.formats.csr.CSRMatrix` view (``indptr`` rebased,
+it, cut again into pieces (below): each piece a
+:class:`~repro.formats.csr.CSRMatrix` view (``indptr`` rebased,
 ``indices``/``data`` sliced, nothing copied) with its own
 :class:`~repro.exec.plan.SpMVPlan` built through the normal backend
-registry.  Every ``spmv``/``spmm`` call fans the shards out over a
-**persistent** :class:`~concurrent.futures.ThreadPoolExecutor` —
-workers live for the executor's lifetime, no per-call pool spin-up.
+registry.  Every ``spmv``/``spmm`` call runs on the caller's thread
+and a **persistent** :class:`~concurrent.futures.ThreadPoolExecutor`
+— workers live for the executor's lifetime, no per-call pool spin-up.
 The SciPy backend's compiled matvec, numpy's ufunc loops and the native
 backend's ``nogil`` kernels all release the GIL, so shards genuinely
 overlap on multi-core hosts.
@@ -34,19 +35,26 @@ Yang, Buluç & Owens (arXiv:1803.08601) both argue that shard *balance*,
 not shard count, decides throughput; the default ranges and the
 serpentine deal both balance non-zeros, and
 :attr:`ShardedExecutor.last_shard_seconds` exposes measured per-shard
-wall time so the claim is checkable.
+seconds so the claim is checkable.
 
-There is one dispatch path.  Every call, with fault injection armed or
-not, runs the same shard task: the caller's thread takes the first
-shard and the pool the rest; a failed attempt is retried under the
-:class:`~repro.resilience.recovery.RetryPolicy` backoff, a shard that
-exhausts its attempts or outlives ``timeout_seconds`` is drained and
-then recomputed serially with injection suppressed.  The fault sites and
-the non-finite output check cost one boolean test while disarmed.
+Each shard is cut into nnz-balanced **pieces**, one per
+:data:`AUTO_MIN_NNZ_PER_SHARD` non-zeros (at least one): row ranges of
+the shard, zero-copy views with their own plans, like the shards
+themselves.  There is one dispatch path.  Every call, with fault
+injection armed or not, runs the same piece task: the caller's thread
+and the pool workers take the next piece off one shared counter until
+none remain, so a thread whose pieces ran fast takes over the tail of
+a slower one's.  A failed attempt is retried under the
+:class:`~repro.resilience.recovery.RetryPolicy` backoff; a piece that
+exhausts its attempts, or that a worker past ``timeout_seconds`` held,
+is recomputed serially with injection suppressed once the straggler
+has drained.  The fault sites and the non-finite output check cost one
+boolean test while disarmed.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -81,6 +89,9 @@ __all__ = [
 
 #: Below this many non-zeros per shard, thread dispatch overhead beats
 #: the parallel win — the auto policy keeps such matrices on one shard.
+#: It is also the size of a shard's pieces: a shard of ``s`` non-zeros
+#: is cut into ``max(1, s // AUTO_MIN_NNZ_PER_SHARD)`` of them, which
+#: the executor's threads pull until none remain.
 AUTO_MIN_NNZ_PER_SHARD = 200_000
 
 def available_cpu_count() -> int:
@@ -139,23 +150,38 @@ def auto_shard_count(
     return max(1, min(workers, nnz // AUTO_MIN_NNZ_PER_SHARD))
 
 
-class _Shard:
-    """One row shard: its row set, CSR row-range view, plan, and
-    scratch space."""
+def _row_range(row_ids: np.ndarray) -> tuple[int, int]:
+    """``(start, stop)`` of ascending ``row_ids`` that form one range,
+    else ``(-1, -1)``."""
+    if row_ids.size and row_ids[-1] - row_ids[0] + 1 == row_ids.size:
+        return int(row_ids[0]), int(row_ids[-1]) + 1
+    return -1, -1
 
-    __slots__ = ("index", "row_ids", "matrix", "plan", "pool", "start", "stop")
 
-    def __init__(self, index: int, row_ids: np.ndarray, matrix, plan) -> None:
-        self.index = index
+class _Piece:
+    """A row range of one shard: its CSR view, plan and scratch space.
+
+    ``shard`` is the owning shard's index, which labels the piece's
+    fault sites and recovery events and sums its seconds; ``number`` is
+    the piece's place in the executor's list of pieces.
+    """
+
+    __slots__ = (
+        "shard", "number", "row_ids", "matrix", "plan", "pool",
+        "start", "stop",
+    )
+
+    def __init__(
+        self, shard: int, number: int, row_ids: np.ndarray, matrix, plan
+    ) -> None:
+        self.shard = shard
+        self.number = number
         self.row_ids = row_ids
         self.matrix = matrix
         self.plan = plan
         self.pool = WorkspacePool()
-        # Contiguous shards write through a zero-copy view of ``out``.
-        if row_ids.size and row_ids[-1] - row_ids[0] + 1 == row_ids.size:
-            self.start, self.stop = int(row_ids[0]), int(row_ids[-1]) + 1
-        else:
-            self.start = self.stop = -1
+        # Contiguous pieces write through a zero-copy view of ``out``.
+        self.start, self.stop = _row_range(row_ids)
 
     @property
     def contiguous(self) -> bool:
@@ -164,6 +190,26 @@ class _Shard:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
+
+
+class _Shard:
+    """One row shard: its (ascending) row set and the pieces it is cut
+    into, in row order."""
+
+    __slots__ = ("index", "row_ids", "pieces")
+
+    def __init__(self, index: int, row_ids: np.ndarray) -> None:
+        self.index = index
+        self.row_ids = row_ids
+        self.pieces: list[_Piece] = []
+
+    @property
+    def contiguous(self) -> bool:
+        return _row_range(self.row_ids)[0] >= 0
+
+    @property
+    def nnz(self) -> int:
+        return sum(piece.nnz for piece in self.pieces)
 
 
 class ShardedExecutor:
@@ -276,11 +322,12 @@ class ShardedExecutor:
         )
         self._matrix = matrix
         self._build_shards()
-        self._shard_seconds = np.zeros(n_shards)
-        # Persistent workers, spun up once; a single shard needs none.
-        if len(self._active) > 1:
+        # Persistent workers, spun up once: n active shards occupy n
+        # threads, the caller's among them; a single shard needs none.
+        self._workers = len(self._active) - 1
+        if self._workers:
             self._pool = ThreadPoolExecutor(
-                max_workers=len(self._active) - 1,
+                max_workers=self._workers,
                 thread_name_prefix="repro-shard",
             )
         self._workspace = WorkspacePool()
@@ -292,11 +339,12 @@ class ShardedExecutor:
         cumulative row lengths and ``indices``/``data`` are the
         canonical row-sorted COO's own arrays, adopted without a copy
         (permuted once when the assignment is not sorted).  Each shard
-        is a row range of it with a plan from the normal backend; only
-        ``O(rows)`` is allocated per build.  Within every row the
-        entries stay in ascending column order, so the per-row sum
-        sequence is independent of the partition — the bit-identity
-        invariant.
+        is a row range of it, cut into nnz-balanced pieces
+        (:func:`~repro.multigpu.bitonic.nnz_cuts`), and each piece is a
+        row range with a plan from the normal backend; only ``O(rows)``
+        is allocated per build.  Within every row the entries stay in
+        ascending column order, so the per-row sum sequence is
+        independent of the partition — the bit-identity invariant.
 
         ``data_version`` is the mutation watermark: dynamic matrices
         bump it on every applied batch, and ``_run`` rebuilds here when
@@ -306,25 +354,44 @@ class ShardedExecutor:
         (idempotent) rebuild on the next call — never a stale or torn
         read.  The row→shard assignment is kept.
         """
+        from repro.multigpu.bitonic import nnz_cuts
+
         version = self._matrix.data_version
         csr = CSRMatrix._from_coo_shared(self._matrix.coo_snapshot())
         if self._order is not None:
             csr = csr.select_rows(self._order)
         self._csr = csr
-        shards = []
+        indptr = csr.indptr
+        shards, pieces = [], []
         for index in range(self.n_shards):
-            lo, hi = self._bounds[index], self._bounds[index + 1]
-            start, stop = csr.indptr[lo], csr.indptr[hi]
-            part = CSRMatrix._from_trusted_parts(
-                csr.indptr[lo : hi + 1] - start,
-                csr.indices[start:stop],
-                csr.data[start:stop],
-                (int(hi - lo), self.n_cols),
+            lo, hi = int(self._bounds[index]), int(self._bounds[index + 1])
+            shard = _Shard(index, self._rows[lo:hi])
+            n_pieces = max(
+                1, int(indptr[hi] - indptr[lo]) // AUTO_MIN_NNZ_PER_SHARD
             )
-            plan = build_plan(part, backend=self.backend)
-            shards.append(_Shard(index, self._rows[lo:hi], part, plan))
+            cuts = lo + nnz_cuts(indptr[lo : hi + 1], n_pieces)
+            for p_lo, p_hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                if p_lo == p_hi:
+                    continue
+                start, stop = indptr[p_lo], indptr[p_hi]
+                part = CSRMatrix._from_trusted_parts(
+                    indptr[p_lo : p_hi + 1] - start,
+                    csr.indices[start:stop],
+                    csr.data[start:stop],
+                    (p_hi - p_lo, self.n_cols),
+                )
+                piece = _Piece(
+                    index, len(pieces), self._rows[p_lo:p_hi], part,
+                    build_plan(part, backend=self.backend),
+                )
+                shard.pieces.append(piece)
+                pieces.append(piece)
+            shards.append(shard)
         self.shards = shards
         self._active = [s for s in shards if s.row_ids.size]
+        self._pieces = pieces
+        self._piece_shard = np.array([p.shard for p in pieces], dtype=np.intp)
+        self._piece_seconds = np.zeros(len(pieces))
         self._data_version = version
 
     # ------------------------------------------------------------------
@@ -355,8 +422,12 @@ class ShardedExecutor:
 
     @property
     def last_shard_seconds(self) -> np.ndarray:
-        """Measured per-shard wall seconds of the most recent call."""
-        return self._shard_seconds.copy()
+        """Measured per-shard wall seconds of the most recent call: the
+        sum of each shard's piece times, whichever threads ran them."""
+        return np.bincount(
+            self._piece_shard, weights=self._piece_seconds,
+            minlength=self.n_shards,
+        )
 
     @property
     def resilience_stats(self) -> dict[str, int]:
@@ -419,62 +490,85 @@ class ShardedExecutor:
                     "invalidations", "exec.invalidations",
                     n_shards=self.n_shards,
                 )
-            active = self._active
-            if not active:
+            if not self._pieces:
                 out.fill(0.0)
                 self.executions += 1
                 return out
-            # The caller's thread takes the first shard; the pool covers
-            # the rest — n shards occupy exactly n threads.
-            futures = [
-                self._pool.submit(self._shard_task, s, rhs, out, batched)
-                for s in active[1:]
-            ]
-            failed = []
-            try:
-                self._shard_task(active[0], rhs, out, batched)
-            except Exception:
-                failed.append((active[0], "error"))
+            # The caller's thread and the pool workers take pieces off
+            # one shared counter (``next`` on an ``itertools.count`` is
+            # atomic under the GIL) until none remain.
+            take = itertools.count().__next__
+            helpers = []
+            for _ in range(min(self._workers, len(self._pieces) - 1)):
+                holding = [None]
+                helpers.append((holding, self._pool.submit(
+                    self._pull, take, rhs, out, batched, holding
+                )))
+            errors = self._pull(take, rhs, out, batched, [None])
+            late = []
             timeout = self.retry.timeout_seconds
-            for shard, future in zip(active[1:], futures):
+            for holding, future in helpers:
                 try:
-                    future.result(timeout=timeout)
+                    errors += future.result(timeout=timeout)
                 except FuturesTimeoutError:
-                    self._event(
-                        "timeouts", "resilience.timeouts", shard=shard.index
-                    )
+                    held = holding[0]
                     # A thread cannot be killed: drain the straggler so
                     # it never races its own recomputation on ``out`` or
-                    # the shard's buffers.
-                    future.exception()
-                    failed.append((shard, "timeout"))
-                except Exception:
-                    failed.append((shard, "error"))
-            # Graceful degradation: failed shards re-execute serially in
+                    # the piece's buffers.
+                    errors += future.result()
+                    if held is not None:
+                        self._event(
+                            "timeouts", "resilience.timeouts",
+                            shard=held.shard,
+                        )
+                        late.append(held)
+            failed = [(piece, "error") for piece in errors] + [
+                (piece, "timeout") for piece in late if piece not in errors
+            ]
+            # Graceful degradation: failed pieces re-execute serially in
             # the caller thread with injection suppressed, so recovery
             # terminates; a failure there is a real bug and propagates.
-            for shard, reason in failed:
+            for piece, reason in failed:
                 self._event(
                     "degraded", "resilience.degraded",
-                    reason=reason, shard=shard.index,
+                    reason=reason, shard=piece.shard,
                 )
                 with _faults.INJECTOR.suppressed():
-                    self._shard_task(shard, rhs, out, batched)
+                    self._shard_task(piece, rhs, out, batched)
             self.executions += 1
             if _metrics._ENABLED:
                 self._report_metrics(batched)
         return out
 
-    def _shard_task(
-        self, shard: _Shard, rhs: np.ndarray, out: np.ndarray, batched: bool
-    ) -> None:
-        """Write ``shard``'s rows of ``out``, retrying failed attempts.
+    def _pull(self, take, rhs, out, batched: bool, holding: list) -> list:
+        """Run pieces numbered by ``take()`` until the numbers pass the
+        last piece; returns the pieces whose task failed.
 
-        Each attempt fully overwrites the shard's rows — every backend's
+        ``holding[0]`` is the piece in hand, so a caller that times this
+        thread out knows which piece to recompute.
+        """
+        pieces = self._pieces
+        failed = []
+        while (number := take()) < len(pieces):
+            holding[0] = piece = pieces[number]
+            try:
+                self._shard_task(piece, rhs, out, batched)
+            except Exception:
+                failed.append(piece)
+        holding[0] = None
+        return failed
+
+    def _shard_task(
+        self, piece: _Piece, rhs: np.ndarray, out: np.ndarray, batched: bool
+    ) -> None:
+        """Write ``piece``'s rows of ``out``, retrying failed attempts.
+
+        Each attempt fully overwrites the piece's rows — every backend's
         ``_execute``/``_execute_many`` writes every output row — so the
         final bytes always come from exactly one complete attempt, and a
         retry may reuse the zero-copy view or pooled buffer of the
-        attempt it replaces.  While fault injection is armed the fault
+        attempt it replaces.  Fault sites and recovery events carry the
+        owning shard's index.  While fault injection is armed the fault
         sites fire and a non-finite output fails the attempt; disarmed,
         both cost one boolean test.
         """
@@ -484,39 +578,39 @@ class ShardedExecutor:
         for attempt in range(policy.max_attempts):
             if attempt:
                 self._event(
-                    "retries", "resilience.retries", shard=shard.index
+                    "retries", "resilience.retries", shard=piece.shard
                 )
                 time.sleep(policy.backoff(attempt))
             try:
                 armed = _faults._ARMED
                 if armed:
                     _faults.INJECTOR.fire(
-                        "shard.task", shard=shard.index, attempt=attempt
+                        "shard.task", shard=piece.shard, attempt=attempt
                     )
                     _faults.INJECTOR.fire(
                         "backend.spmm" if batched else "backend.spmv",
-                        shard=shard.index,
+                        shard=piece.shard,
                         attempt=attempt,
                     )
-                k = shard.row_ids.size
-                if shard.contiguous:
-                    target = out[shard.start : shard.stop]
+                k = piece.row_ids.size
+                if piece.contiguous:
+                    target = out[piece.start : piece.stop]
                 elif batched:
-                    target = shard.pool.buffer("shard:Y", (k, rhs.shape[1]))
+                    target = piece.pool.buffer("shard:Y", (k, rhs.shape[1]))
                 else:
-                    target = shard.pool.buffer("shard:y", k)
+                    target = piece.pool.buffer("shard:y", k)
                 if batched:
-                    shard.plan._execute_many(rhs, target)
+                    piece.plan._execute_many(rhs, target)
                 else:
-                    shard.plan._execute(rhs, target)
+                    piece.plan._execute(rhs, target)
                 if armed:
                     _faults.INJECTOR.corrupt(
                         "backend.corrupt", target,
-                        shard=shard.index, attempt=attempt,
+                        shard=piece.shard, attempt=attempt,
                     )
                     _faults.INJECTOR.corrupt(
                         "shard.corrupt", target,
-                        shard=shard.index, attempt=attempt,
+                        shard=piece.shard, attempt=attempt,
                     )
                     if (
                         policy.validate_outputs
@@ -526,23 +620,23 @@ class ShardedExecutor:
                         self._event(
                             "corruption_detected",
                             "resilience.corruption.detected",
-                            shard=shard.index,
+                            shard=piece.shard,
                         )
                         raise CorruptedOutputError(
-                            f"shard {shard.index} produced non-finite output"
+                            f"shard {piece.shard} produced non-finite output"
                         )
-                if not shard.contiguous:
-                    out[shard.row_ids] = target
+                if not piece.contiguous:
+                    out[piece.row_ids] = target
             except Exception as exc:
                 self._event(
-                    "failures", "resilience.shard.failures", shard=shard.index
+                    "failures", "resilience.shard.failures", shard=piece.shard
                 )
                 last = exc
                 continue
-            self._shard_seconds[shard.index] = time.perf_counter() - tick
+            self._piece_seconds[piece.number] = time.perf_counter() - tick
             return
         raise ShardExecutionError(
-            f"shard {shard.index} failed after {policy.max_attempts} attempts"
+            f"shard {piece.shard} failed after {policy.max_attempts} attempts"
         ) from last
 
     def _report_metrics(self, batched: bool) -> None:
@@ -552,7 +646,7 @@ class ShardedExecutor:
             kind="spmm" if batched else "spmv",
             n_shards=self.n_shards,
         )
-        seconds = self._shard_seconds
+        seconds = self.last_shard_seconds
         active_seconds = [seconds[s.index] for s in self._active]
         for shard in self._active:
             _metrics.METRICS.observe(

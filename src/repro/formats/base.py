@@ -14,10 +14,49 @@ from repro.obs import metrics as _metrics
 __all__ = [
     "SparseMatrix",
     "all_finite",
+    "as_index",
     "check_shape",
     "check_vector",
     "coerce_array",
+    "index_dtype",
 ]
+
+#: 32-bit index arrays hold every extent below this bound.
+_INT32_BOUND = 1 << 31
+
+
+def index_dtype(*extents: int) -> np.dtype:
+    """The one index rule: int32 when every extent — a matrix's
+    ``n_rows``, ``n_cols`` and nnz — lies below ``2**31``, else int64.
+
+    Applied where COO, CSR and CSC arrays are born, so an SpMV streams
+    12 bytes per non-zero (value plus 32-bit column index) and no later
+    layer converts.  ``indptr`` always takes the dtype of the indices it
+    points into: SciPy's compiled kernels accept mixed widths but
+    upcast both arrays on every call (DESIGN.md §7, "Lean set-up").
+    """
+    if max(extents, default=0) < _INT32_BOUND:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+def as_index(a, dtype: np.dtype) -> np.ndarray:
+    """``a`` as a contiguous index array of ``dtype``.
+
+    A narrowing cast would wrap out-of-range values back into range, so
+    input a 32-bit array cannot hold is kept at int64 instead: the
+    caller's range check then sees, and rejects, the true values.
+    Arrays already of ``dtype`` pass through without a copy.
+    """
+    a = np.asarray(a)
+    if (
+        a.dtype != dtype
+        and a.size
+        and not np.can_cast(a.dtype, dtype)
+        and (a.min() < np.iinfo(dtype).min or a.max() > np.iinfo(dtype).max)
+    ):
+        dtype = np.dtype(np.int64)
+    return np.ascontiguousarray(a, dtype=dtype)
 
 #: Serialises lazy plan construction so concurrent first calls on the
 #: same matrix (e.g. sharded-executor workers sharing an operator)

@@ -9,7 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.formats.base import SparseMatrix, check_shape
+from repro.formats.base import (
+    SparseMatrix,
+    as_index,
+    check_shape,
+    index_dtype,
+)
 from repro.formats.radix import stable_argsort
 
 __all__ = ["COOMatrix"]
@@ -25,6 +30,9 @@ class COOMatrix(SparseMatrix):
         non-decreasing (use :meth:`from_unsorted` otherwise).
     shape:
         ``(n_rows, n_cols)``.
+
+    ``rows`` and ``cols`` are stored in :func:`~repro.formats.base.index_dtype`
+    of the shape and nnz: int32 below ``2**31``.
     """
 
     def __init__(
@@ -35,9 +43,10 @@ class COOMatrix(SparseMatrix):
         shape: tuple[int, int],
     ) -> None:
         self.shape = check_shape(shape)
-        self.rows = np.ascontiguousarray(rows, dtype=np.int64)
-        self.cols = np.ascontiguousarray(cols, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
+        index = index_dtype(*self.shape, self.data.size)
+        self.rows = as_index(rows, index)
+        self.cols = as_index(cols, index)
         self._validate()
 
     def _validate(self) -> None:
@@ -80,9 +89,10 @@ class COOMatrix(SparseMatrix):
         memory with the inputs.
         """
         n_rows, n_cols = check_shape(shape)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
         data = np.asarray(data, dtype=np.float64)
+        index = index_dtype(n_rows, n_cols, data.size)
+        rows = as_index(rows, index)
+        cols = as_index(cols, index)
         if not rows.size == cols.size == data.size:
             raise ValidationError(
                 "rows, cols and data must have equal lengths "
@@ -119,8 +129,7 @@ class COOMatrix(SparseMatrix):
         ``dedupe`` is set (the graph-mining convention: ``A(u, v) = 1``
         iff the edge exists).
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = np.asarray(src)
         data = np.ones(src.size, dtype=np.float64)
         matrix = cls.from_unsorted(src, dst, data, shape, sum_duplicates=dedupe)
         if dedupe:
@@ -148,10 +157,27 @@ class COOMatrix(SparseMatrix):
         return self
 
     def _compute_row_lengths(self) -> np.ndarray:
-        return np.bincount(self.rows, minlength=self.n_rows)
+        # Rows are sorted, so a row's length is the length of its run:
+        # one comparison pass, where ``bincount`` would first cast the
+        # 32-bit rows to a fresh intp copy.
+        rows = self.rows
+        lengths = np.zeros(self.n_rows, dtype=np.intp)
+        if rows.size:
+            bounds = np.concatenate(
+                [[0], np.flatnonzero(rows[1:] != rows[:-1]) + 1, [rows.size]]
+            )
+            lengths[rows[bounds[:-1]]] = np.diff(bounds)
+        return lengths
 
     def _compute_col_lengths(self) -> np.ndarray:
         return np.bincount(self.cols, minlength=self.n_cols)
+
+    def row_pointer(self) -> np.ndarray:
+        """The CSR ``indptr`` of these row-sorted entries, in the dtype
+        of the column indices (one width: see ``index_dtype``)."""
+        indptr = np.zeros(self.n_rows + 1, dtype=self.cols.dtype)
+        np.cumsum(self.row_lengths(), out=indptr[1:])
+        return indptr
 
     # ------------------------------------------------------------------
     # Utilities
@@ -199,7 +225,7 @@ class COOMatrix(SparseMatrix):
         so the slice is built without a sort.
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
-        lookup = np.full(self.n_rows, -1, dtype=np.int64)
+        lookup = np.full(self.n_rows, -1, dtype=self.rows.dtype)
         lookup[row_ids] = np.arange(row_ids.size)
         mask = lookup[self.rows] >= 0
         return COOMatrix.from_unsorted(

@@ -10,7 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.formats.base import SparseMatrix, check_shape
+from repro.formats.base import (
+    SparseMatrix,
+    as_index,
+    check_shape,
+    index_dtype,
+)
 from repro.formats.coo import COOMatrix
 from repro.formats.radix import stable_argsort
 
@@ -22,7 +27,8 @@ class CSCMatrix(SparseMatrix):
 
     ``indptr`` has length ``n_cols + 1``; column *j* owns
     ``indices[indptr[j]:indptr[j+1]]`` (row indices) and the matching
-    slice of ``data``.
+    slice of ``data``.  ``indptr`` and ``indices`` share one
+    :func:`~repro.formats.base.index_dtype`: int32 below ``2**31``.
     """
 
     def __init__(
@@ -33,9 +39,10 @@ class CSCMatrix(SparseMatrix):
         shape: tuple[int, int],
     ) -> None:
         self.shape = check_shape(shape)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
+        index = index_dtype(*self.shape, self.data.size)
+        self.indptr = as_index(indptr, index)
+        self.indices = as_index(indices, index)
         self._validate()
 
     def _validate(self) -> None:
@@ -61,7 +68,7 @@ class CSCMatrix(SparseMatrix):
         order = coo.column_order()
         cols = coo.cols[order]
         counts = np.bincount(cols, minlength=coo.n_cols)
-        indptr = np.zeros(coo.n_cols + 1, dtype=np.int64)
+        indptr = np.zeros(coo.n_cols + 1, dtype=cols.dtype)
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr, coo.rows[order], coo.data[order], coo.shape)
 
@@ -81,7 +88,10 @@ class CSCMatrix(SparseMatrix):
     def to_coo(self) -> COOMatrix:
         # Columns are stored in order, so one stable pass on the row key
         # yields the (row, col) order.
-        col_of = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
+        col_of = np.repeat(
+            np.arange(self.n_cols, dtype=self.indices.dtype),
+            np.diff(self.indptr),
+        )
         order = stable_argsort(self.indices, self.n_rows)
         return COOMatrix(
             self.indices[order], col_of[order], self.data[order], self.shape
@@ -102,10 +112,11 @@ class CSCMatrix(SparseMatrix):
         """
         col_ids = np.asarray(col_ids, dtype=np.int64)
         lengths = np.diff(self.indptr)[col_ids]
-        indptr = np.zeros(col_ids.size + 1, dtype=np.int64)
+        index = self.indices.dtype
+        indptr = np.zeros(col_ids.size + 1, dtype=index)
         np.cumsum(lengths, out=indptr[1:])
         total = int(indptr[-1])
-        indices = np.empty(total, dtype=np.int64)
+        indices = np.empty(total, dtype=index)
         data = np.empty(total, dtype=np.float64)
         starts = self.indptr[col_ids]
         if total:

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.formats.base import SparseMatrix, check_shape
+from repro.formats.base import (
+    SparseMatrix,
+    as_index,
+    check_shape,
+    index_dtype,
+)
 from repro.formats.coo import COOMatrix
 
 __all__ = ["CSRMatrix"]
@@ -28,6 +33,9 @@ class CSRMatrix(SparseMatrix):
         Column index of each non-zero.
     data:
         Value of each non-zero.
+
+    ``indptr`` and ``indices`` share one
+    :func:`~repro.formats.base.index_dtype`: int32 below ``2**31``.
     """
 
     def __init__(
@@ -38,9 +46,10 @@ class CSRMatrix(SparseMatrix):
         shape: tuple[int, int],
     ) -> None:
         self.shape = check_shape(shape)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
+        index = index_dtype(*self.shape, self.data.size)
+        self.indptr = as_index(indptr, index)
+        self.indices = as_index(indices, index)
         self._validate()
 
     def _validate(self) -> None:
@@ -67,10 +76,9 @@ class CSRMatrix(SparseMatrix):
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSRMatrix":
         """Build from a (row-sorted) COO matrix."""
-        counts = np.bincount(coo.rows, minlength=coo.n_rows)
-        indptr = np.zeros(coo.n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, coo.cols.copy(), coo.data.copy(), coo.shape)
+        return cls(
+            coo.row_pointer(), coo.cols.copy(), coo.data.copy(), coo.shape
+        )
 
     @classmethod
     def _from_coo_shared(cls, coo: COOMatrix) -> "CSRMatrix":
@@ -79,9 +87,9 @@ class CSRMatrix(SparseMatrix):
 
         Same no-mutation contract as :meth:`_from_trusted_parts`.
         """
-        indptr = np.zeros(coo.n_rows + 1, dtype=np.int64)
-        np.cumsum(coo.row_lengths(), out=indptr[1:])
-        return cls._from_trusted_parts(indptr, coo.cols, coo.data, coo.shape)
+        return cls._from_trusted_parts(
+            coo.row_pointer(), coo.cols, coo.data, coo.shape
+        )
 
     @classmethod
     def _from_trusted_parts(
@@ -123,7 +131,10 @@ class CSRMatrix(SparseMatrix):
         return CSRPlan(self)
 
     def to_coo(self) -> COOMatrix:
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        rows = np.repeat(
+            np.arange(self.n_rows, dtype=self.indices.dtype),
+            np.diff(self.indptr),
+        )
         return COOMatrix(rows, self.indices.copy(), self.data.copy(), self.shape)
 
     # ------------------------------------------------------------------
@@ -144,10 +155,11 @@ class CSRMatrix(SparseMatrix):
         """Sub-matrix of the given rows in the given order, renumbered."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         lengths = np.diff(self.indptr)[row_ids]
-        indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
+        index = self.indices.dtype
+        indptr = np.zeros(row_ids.size + 1, dtype=index)
         np.cumsum(lengths, out=indptr[1:])
         total = int(indptr[-1])
-        indices = np.empty(total, dtype=np.int64)
+        indices = np.empty(total, dtype=index)
         data = np.empty(total, dtype=np.float64)
         # Gather each selected row's slice.  Vectorised via a flat index
         # construction: positions of the source entries.
@@ -175,3 +187,4 @@ class CSRMatrix(SparseMatrix):
             self.data * scale[row_of],
             self.shape,
         )
+

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.exec.plan import SpMVPlan, _with_scratch
-from repro.formats.base import SparseMatrix
+from repro.formats.base import SparseMatrix, index_dtype
 from repro.formats.coo import COOMatrix
 from repro.formats.registry import spec_for
 from repro.obs import metrics as _metrics
@@ -569,14 +569,7 @@ class DynamicMatrix(SparseMatrix):
         """Cached row pointer over the canonical COO of ``base``."""
         cached = self._base_indptr
         if cached is None or cached[0] is not base:
-            coo = self._base_canonical_coo(base)
-            indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            if coo.nnz:
-                np.cumsum(
-                    np.bincount(coo.rows, minlength=self.n_rows),
-                    out=indptr[1:],
-                )
-            cached = (base, indptr)
+            cached = (base, self._base_canonical_coo(base).row_pointer())
             self._base_indptr = cached
         return cached[1]
 
@@ -646,12 +639,13 @@ class DynamicMatrix(SparseMatrix):
         cur_c[db] = base_c
         cur_d[de] = e_d
         cur_d[db] = base_d
-        # Apply the deduped ops.  Dense (row, col) keys fit int64 —
-        # both indices are validated < 2**31.  Ops hitting an existing
-        # coordinate overwrite (or, for deletes, drop) it in place;
-        # missed upserts merge in as fresh entries; missed deletes are
-        # no-ops by contract.
-        key_cur = cur_r * self.n_cols + cur_c
+        # Apply the deduped ops.  Dense (row, col) keys pass 2**31 and
+        # are built in int64 whatever the index dtype; they fit, as
+        # ``n_rows * n_cols`` of any matrix held in memory does.  Ops
+        # hitting an existing coordinate overwrite (or, for deletes,
+        # drop) it in place; missed upserts merge in as fresh entries;
+        # missed deletes are no-ops by contract.
+        key_cur = cur_r * np.int64(self.n_cols) + cur_c
         key_ops = op_rows * np.int64(self.n_cols) + op_cols
         if key_cur.size:
             pos = np.searchsorted(key_cur, key_ops)
@@ -694,10 +688,13 @@ class DynamicMatrix(SparseMatrix):
         )
         counts[loc_prev] = prev_counts
         counts[loc_aff] = aff_counts
-        indptr = np.zeros(touched.size + 1, dtype=np.int64)
+        # The overlay is the touched rows' CSR: one index dtype for
+        # ``indptr`` and ``cols``, as for every CSR.
+        index = index_dtype(self.n_rows, self.n_cols, int(counts.sum()))
+        indptr = np.zeros(touched.size + 1, dtype=index)
         np.cumsum(counts, out=indptr[1:])
         total = int(indptr[-1])
-        out_c = np.empty(total, dtype=np.int64)
+        out_c = np.empty(total, dtype=index)
         out_v = np.empty(total, dtype=np.float64)
         kept_local = np.ones(prev_touched.size, dtype=bool)
         kept_local[edited_local] = False
@@ -743,11 +740,12 @@ class DynamicMatrix(SparseMatrix):
         ov_counts = np.diff(state.indptr)
         final_rl = base_rl.copy()
         final_rl[touched] = ov_counts
-        final_indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        index = index_dtype(n_rows, self.n_cols, int(final_rl.sum()))
+        final_indptr = np.zeros(n_rows + 1, dtype=index)
         np.cumsum(final_rl, out=final_indptr[1:])
         total = int(final_indptr[-1])
-        out_r = np.empty(total, dtype=np.int64)
-        out_c = np.empty(total, dtype=np.int64)
+        out_r = np.empty(total, dtype=index)
+        out_c = np.empty(total, dtype=index)
         out_v = np.empty(total, dtype=np.float64)
         # Untouched base entries: rank within row is position minus the
         # base row start; destination is the merged row start plus rank.

@@ -583,7 +583,7 @@ def _fit_components(matrix: SparseMatrix) -> int:
             parent[i], i = root, parent[i]
         return root
 
-    cols_off = coo.cols + matrix.n_rows
+    cols_off = coo.cols + np.int64(matrix.n_rows)
     for r, c in zip(coo.rows.tolist(), cols_off.tolist()):
         ra, ca = find(r), find(c)
         if ra != ca:

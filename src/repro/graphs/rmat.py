@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.formats.base import index_dtype
 from repro.formats.coo import COOMatrix
 
 __all__ = ["rmat_edges", "rmat_graph"]
@@ -92,8 +93,11 @@ def rmat_graph(
         raise ValidationError("n_nodes must be >= 1")
     scale = max(1, int(np.ceil(np.log2(n_nodes))))
     src, dst = rmat_edges(scale, n_edges, probs=probs, seed=seed)
-    src %= n_nodes
-    dst %= n_nodes
+    # Folded ids lie below ``n_nodes``: they narrow to the matrix's
+    # index dtype here, where their range is known.
+    index = index_dtype(n_nodes, n_edges)
+    src = (src % n_nodes).astype(index)
+    dst = (dst % n_nodes).astype(index)
     if not allow_self_loops:
         keep = src != dst
         src, dst = src[keep], dst[keep]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.formats.base import SparseMatrix
+from repro.formats.base import SparseMatrix, index_dtype
 from repro.formats.coo import COOMatrix
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
@@ -50,9 +50,14 @@ def hits_operator(adjacency: COOMatrix) -> COOMatrix:
     # [0, n); ``from_unsorted`` only sorts if A's columns are out of
     # order within a row.
     top = adjacency.transpose()
+    # Offsets are added in the block matrix's own index dtype, which
+    # may be wider than the adjacency's.
+    index = index_dtype(2 * n, 2 * adjacency.nnz)
+    bottom_rows = adjacency.rows.astype(index, copy=False) + n
+    top_cols = top.cols.astype(index, copy=False) + n
     return COOMatrix.from_unsorted(
-        np.concatenate([top.rows, adjacency.rows + n]),
-        np.concatenate([top.cols + n, adjacency.cols]),
+        np.concatenate([top.rows, bottom_rows]),
+        np.concatenate([top_cols, adjacency.cols]),
         np.concatenate([top.data, adjacency.data]),
         (2 * n, 2 * n),
         sum_duplicates=False,

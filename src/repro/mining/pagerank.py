@@ -57,10 +57,8 @@ def pagerank_csc(adjacency: COOMatrix) -> CSCMatrix:
     indices, and each source's weight repeats over its out-edges.
     """
     lengths, inv_deg = _out_weights(adjacency)
-    indptr = np.zeros(adjacency.n_rows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
     return CSCMatrix(
-        indptr, adjacency.cols, np.repeat(inv_deg, lengths),
+        adjacency.row_pointer(), adjacency.cols, np.repeat(inv_deg, lengths),
         (adjacency.n_cols, adjacency.n_rows),
     )
 

@@ -22,6 +22,7 @@ __all__ = [
     "balanced_partition",
     "bitonic_partition",
     "contiguous_partition",
+    "nnz_cuts",
     "partition_balance",
     "repartition_after_failure",
 ]
@@ -100,11 +101,24 @@ def balanced_partition(row_lengths: np.ndarray, n_parts: int) -> np.ndarray:
         raise ValidationError("n_parts must be >= 1")
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    targets = np.arange(1, n_parts) * (indptr[-1] / n_parts)
-    cuts = np.concatenate(
-        [[0], np.searchsorted(indptr, targets), [lengths.size]]
+    return np.repeat(np.arange(n_parts), np.diff(nnz_cuts(indptr, n_parts)))
+
+
+def nnz_cuts(indptr: np.ndarray, n_parts: int) -> np.ndarray:
+    """Row boundaries of ``n_parts`` contiguous ranges of near-equal
+    non-zero count: range ``k`` starts at the first row whose non-zero
+    prefix reaches ``k / n_parts`` of the total.
+
+    ``indptr`` may be a slice ``indptr[lo:hi + 1]`` of a larger CSR's;
+    the boundaries are then relative to ``lo``.  Both the executor's
+    shards (:func:`balanced_partition`) and the pieces it cuts them
+    into are such ranges.
+    """
+    first = indptr[0]
+    targets = first + np.arange(1, n_parts) * ((indptr[-1] - first) / n_parts)
+    return np.concatenate(
+        [[0], np.searchsorted(indptr, targets), [indptr.size - 1]]
     )
-    return np.repeat(np.arange(n_parts), np.diff(cuts))
 
 
 def contiguous_partition(n_rows: int, n_parts: int) -> np.ndarray:

@@ -279,26 +279,42 @@ class TestShardedRecovery:
         assert stats.get("failures", 0) == 0
 
     def test_slow_shard_times_out_and_degrades(self):
-        """A pool-dispatched straggler is detected, drained, and
-        recomputed serially — deterministic, no injector race."""
+        """A piece held by a straggling pool thread is detected, drained
+        and recomputed serially.  The spy makes the first piece a pool
+        thread takes the slow one, and holds the caller's thread back
+        until then, so which thread pulls first decides nothing."""
+        import threading
         import time
 
         _, operator = graph_and_operator()
         x = np.random.default_rng(2).random(operator.n_cols)
         reference = operator.spmv(x)
         retry = RetryPolicy(timeout_seconds=0.02)
+        caller = threading.current_thread()
+        lock = threading.Lock()
+        taken = threading.Event()
+        slow = []
         with chaos():  # armed, no specs: the resilient path, no fires
             with ShardedExecutor(operator, 3, retry=retry) as engine:
-                slow = engine._active[1]  # dispatched to the pool
-                original = slow.plan._execute
+                task = engine._shard_task
 
-                def slow_execute(rhs, out, _orig=original):
-                    time.sleep(0.2)
-                    _orig(rhs, out)
+                def spy(piece, *args, _task=task):
+                    if threading.current_thread() is caller:
+                        taken.wait(10.0)
+                    else:
+                        with lock:
+                            first = not slow
+                            if first:
+                                slow.append(piece)
+                        if first:
+                            taken.set()
+                            time.sleep(0.2)
+                    return _task(piece, *args)
 
-                slow.plan._execute = slow_execute
+                engine._shard_task = spy
                 out = engine.spmv(x)
                 stats = engine.resilience_stats
+        assert taken.is_set()
         assert np.array_equal(out, reference)
         assert stats["timeouts"] == 1
         assert stats["degraded"] == 1
@@ -427,14 +443,14 @@ class TestDisarmedSteadyState:
                 operator, 4, assignment=assignment
             ) as engine:
                 engine.spmv(x, out=y)  # warm-up
-                warm = [s.pool.allocations for s in engine.shards]
+                warm = [p.pool.allocations for p in engine._pieces]
                 assert all(
-                    s.pool.allocations > 0
-                    for s in engine.shards if not s.contiguous
+                    p.pool.allocations > 0
+                    for p in engine._pieces if not p.contiguous
                 )
                 for _ in range(5):
                     engine.spmv(x, out=y)
-                assert [s.pool.allocations for s in engine.shards] == warm
+                assert [p.pool.allocations for p in engine._pieces] == warm
                 assert engine.resilience_stats == {}
 
 
@@ -465,12 +481,12 @@ class TestOneDispatchPath:
                     operator, 3, assignment=assignment
                 ) as engine:
                     scattering = [
-                        s for s in engine.shards if not s.contiguous
+                        p for p in engine._pieces if not p.contiguous
                     ]
                     assert bool(scattering) == (assignment is not None)
                     engine.spmv(x, out=y)  # warm-up grows the pooled buffers
                     engine.spmm(X, out=Y)
-                    warm = [s.pool.allocations for s in engine.shards]
+                    warm = [p.pool.allocations for p in engine._pieces]
                     warm_ws = engine._workspace.allocations
                     assert all(s.pool.allocations > 0 for s in scattering)
                     tracemalloc.start()
@@ -483,7 +499,7 @@ class TestOneDispatchPath:
                     finally:
                         tracemalloc.stop()
                     assert [
-                        s.pool.allocations for s in engine.shards
+                        p.pool.allocations for p in engine._pieces
                     ] == warm
                     assert engine._workspace.allocations == warm_ws
                     assert engine.resilience_stats == {}
@@ -495,6 +511,8 @@ class TestOneDispatchPath:
 
     @pytest.mark.parametrize("armed", [False, True])
     def test_one_shard_task_serves_every_shard(self, armed, disarmed):
+        """Every piece runs through ``_shard_task`` once per call, armed
+        or not."""
         _, operator = graph_and_operator()
         x = np.ones(operator.n_cols)
         reference = operator.spmv(x)
@@ -503,17 +521,18 @@ class TestOneDispatchPath:
             with ShardedExecutor(operator, 3) as engine:
                 task = engine._shard_task
 
-                def spy(shard, *args, _task=task):
-                    seen.append(shard.index)
-                    return _task(shard, *args)
+                def spy(piece, *args, _task=task):
+                    seen.append(piece.number)
+                    return _task(piece, *args)
 
                 engine._shard_task = spy
                 for _ in range(2):
                     assert np.array_equal(engine.spmv(x), reference)
                 engine.spmm(np.ones((operator.n_cols, 2)))
-                active = [s.index for s in engine._active]
-        assert len(active) == 3
-        assert sorted(seen) == sorted(active * 3)
+                pieces = [p.number for p in engine._pieces]
+                shards = {p.shard for p in engine._pieces}
+        assert shards == {0, 1, 2}
+        assert sorted(seen) == sorted(pieces * 3)
 
 
 # ----------------------------------------------------------------------

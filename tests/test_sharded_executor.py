@@ -207,11 +207,12 @@ def test_default_shards_are_views_of_the_executors_one_csr(backend):
         assert np.shares_memory(csr.data, matrix.data)
         for shard in ex.shards:
             assert shard.contiguous
-            if shard.nnz == 0:
-                continue
-            indices, values = plan_arrays(shard.plan)
-            assert np.shares_memory(indices, csr.indices)
-            assert np.shares_memory(values, csr.data)
+            for piece in shard.pieces:
+                if piece.nnz == 0:
+                    continue
+                indices, values = plan_arrays(piece.plan)
+                assert np.shares_memory(indices, csr.indices)
+                assert np.shares_memory(values, csr.data)
 
 
 def test_balanced_shards_split_the_nonzeros_evenly():
@@ -319,18 +320,18 @@ def test_pool_persists_and_steady_state_allocates_nothing():
     for scheme in ("balanced", "bitonic"):
         options = partition_options(matrix, scheme, 4)
         with ShardedExecutor(matrix, 4, **options) as ex:
-            scattering = [s for s in ex.shards if not s.contiguous]
+            scattering = [p for p in ex._pieces if not p.contiguous]
             assert bool(scattering) == (scheme == "bitonic")
             pool = ex._pool
             assert pool is not None  # spun up once, at construction
-            ex.spmv(x, out=y)  # warm-up grows the shard scratch buffers
+            ex.spmv(x, out=y)  # warm-up grows the piece scratch buffers
             ex.spmm(X, out=Y)
-            warm = [shard.pool.allocations for shard in ex.shards]
-            assert all(s.pool.allocations > 0 for s in scattering)
+            warm = [piece.pool.allocations for piece in ex._pieces]
+            assert all(p.pool.allocations > 0 for p in scattering)
             for _ in range(5):
                 ex.spmv(x, out=y)
                 ex.spmm(X, out=Y)
-            assert [s.pool.allocations for s in ex.shards] == warm
+            assert [p.pool.allocations for p in ex._pieces] == warm
             assert ex._pool is pool  # no per-call pool spin-up
             assert ex.executions == 12
 
