@@ -4,9 +4,9 @@ Usage::
 
     python examples/quickstart.py
 
-Builds a scaled Flickr analogue, computes one exact SpMV with several
-kernels, and prints each kernel's simulated performance profile on the
-matched Tesla-C1060-class device — a miniature Figure 2.
+Builds a scaled Flickr analogue, computes one exact SpMV, prices it
+with several kernels, and prints each kernel's simulated performance
+profile on the matched Tesla-C1060-class device — a miniature Figure 2.
 """
 
 import numpy as np
@@ -32,14 +32,12 @@ def main() -> None:
           f"tile width {device.tile_width_columns} columns\n")
 
     x = np.random.default_rng(0).random(matrix.n_cols)
-    reference = matrix.spmv(x)
+    reference = matrix.spmv(x)             # exact product
 
     rows = []
     for name in ["cpu-csr", "csr", "coo", "hyb",
                  "tile-coo", "tile-composite"]:
         kernel = kernels.create(name, matrix, device=device)
-        y = kernel.spmv(x)                 # exact product
-        assert np.allclose(y, reference)   # every kernel agrees
         cost = kernel.cost()               # simulated performance
         rows.append([name, cost.gflops, cost.bandwidth_gbs,
                      cost.time_seconds * 1e3])
@@ -52,6 +50,8 @@ def main() -> None:
     ))
 
     tile = kernels.create("tile-composite", matrix, device=device)
+    # The tiled storage computes the same product as the matrix.
+    assert np.allclose(tile.matrix.spmv(x), reference)
     hyb = kernels.create("hyb", matrix, device=device)
     speedup = hyb.cost().time_seconds / tile.cost().time_seconds
     print(f"\ntile-composite speedup over NVIDIA HYB: {speedup:.2f}x "

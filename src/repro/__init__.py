@@ -41,8 +41,8 @@ Quickstart::
 
     matrix = datasets.load("flickr")          # scaled Flickr analogue
     device = gpu.DeviceSpec.tesla_c1060()
+    y = matrix.spmv(x)                        # exact product
     kernel = kernels.create("tile-composite", matrix, device=device)
-    y = kernel.spmv(x)                        # exact product
     report = kernel.cost()                    # simulated performance
     print(report.gflops, report.bandwidth_gbs)
 """

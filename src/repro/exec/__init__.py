@@ -66,7 +66,6 @@ from repro.exec.sharded import (
 from repro.exec.plan import (
     PLAN_CACHE_STATS,
     COOPlan,
-    CSCPlan,
     CSRPlan,
     DIAPlan,
     ELLPlan,
@@ -84,7 +83,6 @@ __all__ = [
     "PLAN_CACHE_STATS",
     "Backend",
     "COOPlan",
-    "CSCPlan",
     "CSRPlan",
     "DIAPlan",
     "ELLPlan",

@@ -2,7 +2,8 @@
 
 A *backend* turns a :class:`~repro.formats.base.SparseMatrix` into a
 :class:`~repro.exec.plan.SpMVPlan`.  The ``numpy`` backend asks the
-matrix for its native plan (every format implements ``_build_plan``);
+matrix for its plan (``_build_plan``: the gather/segmented-reduce plan
+of its row-sorted COO unless the format has a layout of its own);
 the ``scipy`` backend — auto-detected, never required — compiles the
 matrix to canonical CSR (a CSC runs as it is stored) and drives SciPy's
 C matvec kernels directly into the caller's ``out`` buffer.
@@ -77,7 +78,8 @@ class Backend(abc.ABC):
 
 
 class NumpyBackend(Backend):
-    """The native backend: every format builds its own plan."""
+    """The native backend: a format's own plan, or the one plan of its
+    canonical COO."""
 
     name = "numpy"
 

@@ -2,10 +2,11 @@
 
 A *plan* is the execute-side half of a sparse matrix: everything an
 ``y = A @ x`` needs beyond the raw arrays, precomputed once and reused
-on every call.  For sorted-CSR/COO/CSC that is the segment boundaries of
-an ``np.add.reduceat`` reduction (replacing the per-call
-``np.repeat(np.arange(n_rows), diff(indptr))`` + ``np.bincount`` of the
-seed implementation); for ELL it is the padded gather layout; for
+on every call.  For sorted CSR and COO — and so for every format whose
+product is the canonical one, run through its row-sorted COO — that is
+the segment boundaries of an ``np.add.reduceat`` reduction (replacing
+the per-call ``np.repeat(np.arange(n_rows), diff(indptr))`` +
+``np.bincount`` of the seed implementation); for ELL it is the padded gather layout; for
 HYB/PKT and the tile matrices it is the composition of child plans plus
 the reorder/scatter maps.
 
@@ -36,7 +37,6 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.exec.workspace import WorkspacePool
 from repro.formats.base import all_finite, coerce_array
-from repro.formats.radix import stable_argsort
 from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
 
@@ -46,9 +46,6 @@ __all__ = [
     "SpMVPlan",
     "CSRPlan",
     "COOPlan",
-    "CSCPlan",
-    "CMRSPlan",
-    "RGCSRPlan",
     "MPCSRPlan",
     "ELLPlan",
     "DIAPlan",
@@ -408,18 +405,17 @@ class SpMVPlan(abc.ABC):
 
 
 class _GatherReducePlan(SpMVPlan):
-    """Shared machinery of CSR/COO/CSC: gather x, multiply, segment-reduce.
+    """Shared machinery of CSR/COO/MPCSR: gather x, multiply,
+    segment-reduce.
 
     Subclasses provide ``gather_cols`` (the column index of each stored
-    entry, in storage order), ``values`` (the matching data array), a
-    ``segments`` reduction, and optionally ``perm`` — a permutation
-    applied to the products before reduction (CSC's row-sort).
+    entry, in storage order), ``values`` (the matching data array) and
+    a ``segments`` reduction.
     """
 
     gather_cols: np.ndarray
     values: np.ndarray
     segments: _SegmentReduction
-    perm: np.ndarray | None = None
 
     @property
     def plan_nnz(self) -> int:
@@ -443,10 +439,6 @@ class _GatherReducePlan(SpMVPlan):
     def _reduce(
         self, products: np.ndarray, out: np.ndarray, tag: str
     ) -> None:
-        if self.perm is not None:
-            permuted = self.pool.buffer("perm:prod" + tag, products.size)
-            np.take(products, self.perm, out=permuted, mode="clip")
-            products = permuted
         self.segments.apply(products, out, self.pool, tag)
 
     @_with_scratch
@@ -499,7 +491,10 @@ class CSRPlan(_GatherReducePlan):
 
 
 class COOPlan(_GatherReducePlan):
-    """Plan for row-sorted :class:`~repro.formats.coo.COOMatrix`."""
+    """Plan for row-sorted :class:`~repro.formats.coo.COOMatrix` — and,
+    through its :meth:`~repro.formats.base.SparseMatrix.to_coo`, the
+    numpy plan of every format that does not build its own (CSC, CMRS,
+    RGCSR, plugins)."""
 
     def __init__(self, coo) -> None:
         super().__init__(coo.shape)
@@ -507,68 +502,6 @@ class COOPlan(_GatherReducePlan):
         self.values = coo.data
         self.segments = _SegmentReduction.from_sorted_rows(
             coo.rows, coo.n_rows
-        )
-
-
-class CSCPlan(_GatherReducePlan):
-    """Plan for :class:`~repro.formats.csc.CSCMatrix`.
-
-    The products are produced in column order; a cached stable row-sort
-    permutation turns the scatter-add of the seed implementation into
-    the same segmented reduction the row-major formats use.
-    """
-
-    def __init__(self, csc) -> None:
-        super().__init__(csc.shape)
-        self.values = csc.data
-        self.gather_cols = np.repeat(
-            np.arange(csc.n_cols, dtype=np.int64), np.diff(csc.indptr)
-        )
-        self.perm = stable_argsort(csc.indices, csc.n_rows)
-        self.segments = _SegmentReduction.from_sorted_rows(
-            csc.indices[self.perm], csc.n_rows
-        )
-
-
-class CMRSPlan(_GatherReducePlan):
-    """Plan for :class:`~repro.formats.cmrs.CMRSMatrix`.
-
-    Entries are stored slot-interleaved per strip; a cached stable
-    row-sort permutation restores row-major order (within a row the
-    stable sort preserves slot order, i.e. ascending columns), after
-    which the reduction is exactly the canonical segmented reduceat —
-    the CSC pattern applied to strips.
-    """
-
-    def __init__(self, cmrs) -> None:
-        super().__init__(cmrs.shape)
-        self.gather_cols = cmrs.cols
-        self.values = cmrs.data
-        rows = cmrs.entry_rows()
-        self.perm = stable_argsort(rows, cmrs.n_rows)
-        self.segments = _SegmentReduction.from_sorted_rows(
-            rows[self.perm], cmrs.n_rows
-        )
-
-
-class RGCSRPlan(_GatherReducePlan):
-    """Plan for :class:`~repro.formats.rgcsr.RGCSRMatrix`.
-
-    The padded group blocks flatten to one entry stream (each row a
-    contiguous ascending-column run, rows in group order); the cached
-    stable row-sort permutation restores global row order and the
-    canonical segmented reduceat does the rest — bitwise member of the
-    differential matrix's reduction class.
-    """
-
-    def __init__(self, rgcsr) -> None:
-        super().__init__(rgcsr.shape)
-        rows, cols, data = rgcsr._entry_arrays()
-        self.gather_cols = cols
-        self.values = data
-        self.perm = stable_argsort(rows, rgcsr.n_rows)
-        self.segments = _SegmentReduction.from_sorted_rows(
-            rows[self.perm], rgcsr.n_rows
         )
 
 

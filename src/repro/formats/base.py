@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.gpu.spec import FLOAT_BYTES
-from repro.obs import metrics as _metrics
 
 __all__ = [
     "SparseMatrix",
@@ -163,11 +162,12 @@ class SparseMatrix(abc.ABC):
     """Abstract base of every storage format.
 
     Subclasses store their arrays in the layout a GPU kernel would use
-    and implement ``_build_plan``, producing the cached
+    and define ``nnz``, ``nbytes`` and ``to_coo``; the cached
     :class:`~repro.exec.plan.SpMVPlan` behind the exact ``spmv``/``spmm``
-    entry points below.  Performance is *not* modelled here; that is the
-    job of ``repro.kernels``, which reads the structural properties
-    exposed by this interface.
+    entry points below runs their canonical COO unless a format
+    overrides ``_build_plan`` with a layout of its own.  Performance is
+    *not* modelled here; that is the job of ``repro.kernels``, which
+    reads the structural properties exposed by this interface.
 
     Matrices are treated as immutable once constructed: derived state
     is cached in the instance ``__dict__`` and built at most once per
@@ -210,9 +210,18 @@ class SparseMatrix(abc.ABC):
     # Execution engine
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def _build_plan(self):
-        """Construct this format's native execution plan (numpy backend)."""
+        """This format's execution plan on the numpy backend.
+
+        By default the one gather/segmented-reduce plan of the format's
+        row-sorted COO: the plan of every format whose product is the
+        canonical row-serial one (COO, CSC, CMRS, RGCSR and plugins).
+        Formats with their own execution layout (CSR, ELL, HYB, ...)
+        override it.
+        """
+        from repro.exec.plan import COOPlan
+
+        return COOPlan(self.to_coo())
 
     def spmv_plan(self, backend: str | None = None):
         """The lazily-built, cached execution plan of this matrix.
@@ -239,18 +248,10 @@ class SparseMatrix(abc.ABC):
                     plan = build_plan(self, backend=key)
                     plans[key] = plan
                     PLAN_CACHE_STATS.builds += 1
-                    if _metrics._ENABLED:
-                        _metrics.METRICS.inc(
-                            "plan.cache.builds", backend=key
-                        )
                 else:
                     PLAN_CACHE_STATS.hits += 1
-                    if _metrics._ENABLED:
-                        _metrics.METRICS.inc("plan.cache.hits", backend=key)
         else:
             PLAN_CACHE_STATS.hits += 1
-            if _metrics._ENABLED:
-                _metrics.METRICS.inc("plan.cache.hits", backend=key)
         return plan
 
     def tuned_plan(self, **tune_options):

@@ -11,10 +11,11 @@ the interleaved layout keeps the value/column streams coalesced.
 Reduction-order contract: within a strip, one row's entries occupy
 ascending slots, so any per-row accumulation that walks the strip in
 storage order sees each row's products in ascending column order — the
-canonical reduction.  The numpy plan restores row-major order with a
-cached stable permutation (exactly the CSC pattern) and reduces with
-``np.add.reduceat``; the native kernel accumulates in-place per strip.
-Both are bitwise members of the differential matrix's canonical class.
+canonical reduction.  One stable pass on the row key restores the
+canonical COO (:meth:`CMRSMatrix.to_coo`, exactly the CSC pattern),
+which the numpy and SciPy backends run as they run every canonical
+format; the native kernel accumulates in-place per strip.  Both are
+bitwise members of the differential matrix's canonical class.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, check_shape
 from repro.formats.coo import COOMatrix
+from repro.formats.radix import stable_argsort
 
 __all__ = [
     "CMRS_STRIP_ROWS",
@@ -173,11 +175,6 @@ class CMRSMatrix(SparseMatrix):
             self.strip_ptr, self.cols, self.data, self.row_in_strip
         )
 
-    def _build_plan(self):
-        from repro.exec.plan import CMRSPlan
-
-        return CMRSPlan(self)
-
     def entry_rows(self) -> np.ndarray:
         """Global row index of every stored entry, in storage order."""
         strip_of = np.repeat(
@@ -187,12 +184,13 @@ class CMRSMatrix(SparseMatrix):
         return strip_of * self.strip_rows + self.row_in_strip
 
     def to_coo(self) -> COOMatrix:
-        return COOMatrix.from_unsorted(
-            self.entry_rows(),
-            self.cols.copy(),
-            self.data.copy(),
-            self.shape,
-            sum_duplicates=False,
+        # Each row's entries sit in ascending slots, i.e. ascending
+        # columns, so one stable pass on the row key yields the
+        # (row, col) order.
+        rows = self.entry_rows()
+        order = stable_argsort(rows, self.n_rows)
+        return COOMatrix(
+            rows[order], self.cols[order], self.data[order], self.shape
         )
 
     def _compute_row_lengths(self) -> np.ndarray:

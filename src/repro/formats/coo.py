@@ -148,11 +148,6 @@ class COOMatrix(SparseMatrix):
     def nbytes(self) -> int:
         return self._array_bytes(self.rows, self.cols, self.data)
 
-    def _build_plan(self):
-        from repro.exec.plan import COOPlan
-
-        return COOPlan(self)
-
     def to_coo(self) -> "COOMatrix":
         return self
 

@@ -80,11 +80,6 @@ class CSCMatrix(SparseMatrix):
     def nbytes(self) -> int:
         return self._array_bytes(self.indptr, self.indices, self.data)
 
-    def _build_plan(self):
-        from repro.exec.plan import CSCPlan
-
-        return CSCPlan(self)
-
     def to_coo(self) -> COOMatrix:
         # Columns are stored in order, so one stable pass on the row key
         # yields the (row, col) order.

@@ -11,9 +11,9 @@ own narrow-and-tall... rather wide-and-short blocks instead of
 inflating everyone's width.
 
 Reduction-order contract: within a block each row's entries are a
-contiguous ascending-column prefix, so restoring global row order with
-a cached stable permutation and reducing with ``np.add.reduceat``
-reproduces the canonical reduction bit for bit (numpy plan); the
+contiguous ascending-column prefix, so one stable pass on the row key
+restores the canonical COO (:meth:`RGCSRMatrix.to_coo`), which the
+numpy and SciPy backends run as they run every canonical format; the
 native kernel accumulates each group row serially in storage order —
 both are bitwise members of the differential matrix's canonical class.
 """
@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, check_shape
 from repro.formats.coo import COOMatrix
+from repro.formats.radix import stable_argsort
 
 __all__ = [
     "OCCUPANCY_TARGET",
@@ -216,11 +217,6 @@ class RGCSRMatrix(SparseMatrix):
             )
         )
 
-    def _build_plan(self):
-        from repro.exec.plan import RGCSRPlan
-
-        return RGCSRPlan(self)
-
     def _entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, data) of every stored entry, block order."""
         rows_parts, cols_parts, data_parts = [], [], []
@@ -243,10 +239,11 @@ class RGCSRMatrix(SparseMatrix):
         )
 
     def to_coo(self) -> COOMatrix:
+        # Each row is one contiguous ascending-column run, so one stable
+        # pass on the row key yields the (row, col) order.
         rows, cols, data = self._entry_arrays()
-        return COOMatrix.from_unsorted(
-            rows, cols, data, self.shape, sum_duplicates=False
-        )
+        order = stable_argsort(rows, self.n_rows)
+        return COOMatrix(rows[order], cols[order], data[order], self.shape)
 
     def _compute_row_lengths(self) -> np.ndarray:
         lengths = np.zeros(self.n_rows, dtype=np.int64)

@@ -244,9 +244,10 @@ class DynamicMatrix(SparseMatrix):
         self._base_coo: tuple[SparseMatrix, COOMatrix] | None = None
         self._coo_cache: tuple[int, COOMatrix] | None = None
         self._lengths_cache: tuple[int, np.ndarray, np.ndarray] | None = None
-        #: Honest operation counters (mirrored as ``dynamic.*`` metrics
-        #: when metrics are enabled) — the differential suite's
-        #: no-silent-fallback assertion reads ``stats["rebuilds"]``.
+        #: Honest operation counters, the one book of this matrix's
+        #: updates (the ``dynamic.*`` metrics are only the overlay-size
+        #: gauges) — the differential suite's no-silent-fallback
+        #: assertion reads ``stats["rebuilds"]``.
         self.stats = {
             "batches": 0,
             "updates": 0,
@@ -376,8 +377,6 @@ class DynamicMatrix(SparseMatrix):
         )
         sub_plan = build_plan(sub, backend=backend)
         self.stats["plan_overlays"] += 1
-        if _metrics._ENABLED:
-            _metrics.METRICS.inc("dynamic.plan_overlays", backend=backend)
         return OverlayPlan(base_plan, sub_plan, state.touched_rows, self.shape)
 
     # ------------------------------------------------------------------
@@ -409,30 +408,19 @@ class DynamicMatrix(SparseMatrix):
             )
         if op_rows.size == 0:
             return self
-        repaired = None
         with self._lock:
             new_state = self._apply_locked(
                 self._state, op_rows, op_cols, op_vals, op_dels
             )
             if self._eager_compact or self._over_threshold(new_state):
-                repaired = self._compact_locked(new_state, new_state.version)
+                self._compact_locked(new_state, new_state.version)
             else:
                 self._state = new_state
+            published = self._state
             self.stats["batches"] += 1
             self.stats["updates"] += int(op_rows.size)
         if _metrics._ENABLED:
-            _metrics.METRICS.inc("dynamic.batches")
-            _metrics.METRICS.inc("dynamic.updates", float(op_rows.size))
-            if repaired is None:
-                _metrics.METRICS.set_gauge(
-                    "dynamic.overlay_nnz", float(new_state.data.size)
-                )
-                _metrics.METRICS.set_gauge(
-                    "dynamic.touched_rows",
-                    float(new_state.touched_rows.size),
-                )
-            else:
-                self._count_compaction(repaired)
+            self._set_overlay_gauges(published)
         return self
 
     def _over_threshold(self, state) -> bool:
@@ -784,15 +772,16 @@ class DynamicMatrix(SparseMatrix):
             state = self._state
             if state.touched_rows.size == 0:
                 return self
-            repaired = self._compact_locked(state, state.version + 1)
+            self._compact_locked(state, state.version + 1)
+            published = self._state
         if _metrics._ENABLED:
-            self._count_compaction(repaired)
+            self._set_overlay_gauges(published)
         return self
 
-    def _compact_locked(self, state, version: int) -> bool:
-        """Fold ``state`` into a new base published as ``version``;
-        returns whether it counts as a repair.  Runs under ``_lock``;
-        the fault site fires before anything is published."""
+    def _compact_locked(self, state, version: int) -> None:
+        """Fold ``state`` into a new base published as ``version``,
+        counted in :attr:`stats` as a repair or a rebuild.  Runs under
+        ``_lock``; the fault site fires before anything is published."""
         merged = self._merged_coo(state)
         spec = self._spec
         if _faults._ARMED:
@@ -818,16 +807,17 @@ class DynamicMatrix(SparseMatrix):
         self._plan_cache.clear()
         self.stats["compactions"] += 1
         self.stats["repairs" if repaired else "rebuilds"] += 1
-        return repaired
 
-    def _count_compaction(self, repaired: bool) -> None:
-        _metrics.METRICS.inc("dynamic.compactions")
-        _metrics.METRICS.inc(
-            "dynamic.repairs" if repaired else "dynamic.rebuilds",
-            format=self.format_name or "unregistered",
+    @staticmethod
+    def _set_overlay_gauges(state) -> None:
+        """Publish the overlay size of ``state``, the state a batch or a
+        compaction left behind (zero after a compaction)."""
+        _metrics.METRICS.set_gauge(
+            "dynamic.overlay_nnz", float(state.data.size)
         )
-        _metrics.METRICS.set_gauge("dynamic.overlay_nnz", 0.0)
-        _metrics.METRICS.set_gauge("dynamic.touched_rows", 0.0)
+        _metrics.METRICS.set_gauge(
+            "dynamic.touched_rows", float(state.touched_rows.size)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,4 +1,4 @@
-"""SpMV kernels: exact products plus simulated GPU cost models.
+"""SpMV kernels: simulated GPU cost models of one product.
 
 Every kernel the paper compares is here:
 
@@ -16,11 +16,11 @@ Every kernel the paper compares is here:
 ``tile-composite``  tiling + composite CSR/ELL workloads        (ours)
 ==================  ====================================================
 
-Use :func:`create`::
+Use :func:`create`; the exact product is the matrix's own::
 
     kernel = kernels.create("tile-composite", matrix, tuned=True)
-    y = kernel.spmv(x)
     print(kernel.cost().summary())
+    y = matrix.spmv(x)                # or kernel.matrix.spmv(x), the tiles
 """
 
 from repro.kernels import calibration

@@ -2,16 +2,15 @@
 
 A *kernel* is the simulated GPU code whose cost the paper reports: a
 storage format plus an execution strategy.  Every kernel exposes
+``cost()`` — a :class:`~repro.gpu.costs.CostReport` of one SpMV on the
+simulated device, derived from the actual matrix structure — and builds
+only what that cost model reads.
 
-* ``cost()`` — a :class:`~repro.gpu.costs.CostReport` of one SpMV on the
-  simulated device, derived from the actual matrix structure, and
-* ``spmv(x, out=...)`` — the exact product through the storage format's
-  cached execution plan, for callers that run one kernel by hand.
-
-A kernel prices; it does not drive the mining algorithms.  Their power
-loops run on the operator or an executor
-(:func:`repro.mining.power_method.resolve_engine`), so no mining run
-builds a kernel's storage just to execute it.
+A kernel prices; it does not execute.  The exact product belongs to
+the matrix (``matrix.spmv(x)``, or ``kernel.matrix.spmv(x)`` for the
+tile kernels' own storage), and the mining power loops run on the
+operator or an executor
+(:func:`repro.mining.power_method.resolve_engine`).
 
 Kernels register themselves by name; ``create`` is the public factory:
 
@@ -22,8 +21,6 @@ from __future__ import annotations
 
 import abc
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
@@ -86,18 +83,15 @@ def create(
 class SpMVKernel(abc.ABC):
     """Base class of all SpMV kernels.
 
-    Subclasses build their storage format in ``__init__`` and point
-    ``self.storage`` at it (or define ``storage`` as a property that
-    builds it on first execution), and implement :meth:`_compute_cost`;
-    :meth:`spmv` then runs through the storage format's cached
-    execution plan.  Cost reports are memoised — the matrix is
-    immutable once wrapped.
+    Subclasses implement :meth:`_compute_cost` from the canonical COO
+    (``self.coo``), building in ``__init__`` only the structure their
+    cost model walks (a format whose builder refuses inapplicable
+    matrices, or the tiled storage).  Cost reports are memoised — the
+    matrix is immutable once wrapped.
     """
 
     #: Registry name, set by the ``register`` decorator.
     name: str = "abstract"
-    #: The format the kernel executes on.
-    storage: SparseMatrix
 
     def __init__(
         self,
@@ -128,10 +122,6 @@ class SpMVKernel(abc.ABC):
     @property
     def flops(self) -> int:
         return 2 * self.nnz
-
-    def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Exact product ``y = A @ x`` through the cached plan."""
-        return self.storage.spmv(x, out=out)
 
     def cost(self) -> CostReport:
         """Simulated cost of one SpMV (memoised)."""

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import SparseMatrix
-from repro.formats.csr import CSRMatrix
 from repro.gpu.costs import CostReport
 from repro.gpu.launch import kernel_launch_seconds
 from repro.gpu.memory import bandwidth_saturation, streamed_bytes
 from repro.gpu.scheduler import schedule_warps
-from repro.gpu.spec import DeviceSpec
 from repro.kernels import calibration as cal
 from repro.kernels.base import SpMVKernel, register
 from repro.kernels.xaccess import untiled_x_cost
@@ -29,18 +26,11 @@ __all__ = ["BSKBDWKernel"]
 class BSKBDWKernel(SpMVKernel):
     """Half-warp-per-row CSR with full-coalescing padding."""
 
-    def __init__(
-        self, matrix: SparseMatrix, *, device: DeviceSpec | None = None
-    ) -> None:
-        super().__init__(matrix, device=device)
-        self.csr = CSRMatrix.from_coo(self.coo)
-        self.storage = self.csr
-
     def _compute_cost(self) -> CostReport:
         device = self.device
         half = device.warp_size // 2
-        lengths = self.csr.row_lengths().astype(np.float64)
-        n_rows = self.csr.n_rows
+        lengths = self.coo.row_lengths().astype(np.float64)
+        n_rows = self.coo.n_rows
         # Each warp serves two consecutive rows, one per half warp; the
         # warp runs for the longer of the pair.
         n_warps = -(-n_rows // 2) if n_rows else 0

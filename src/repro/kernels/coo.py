@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import SparseMatrix
 from repro.gpu.costs import CostReport
 from repro.gpu.launch import kernel_launch_seconds
 from repro.gpu.memory import (
@@ -73,12 +72,6 @@ def coo_warp_instructions(
 @register("coo")
 class COOKernel(SpMVKernel):
     """Bell & Garland's COO kernel with the whole of ``x`` texture-bound."""
-
-    def __init__(
-        self, matrix: SparseMatrix, *, device: DeviceSpec | None = None
-    ) -> None:
-        super().__init__(matrix, device=device)
-        self.storage = self.coo
 
     def _compute_cost(self) -> CostReport:
         device = self.device

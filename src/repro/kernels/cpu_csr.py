@@ -9,10 +9,7 @@ L2 cache — again via Che's approximation, now on the CPU cache.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.formats.base import SparseMatrix
-from repro.formats.csr import CSRMatrix
 from repro.gpu.cache import line_access_counts, overall_hit_rate
 from repro.gpu.costs import CostReport
 from repro.gpu.spec import FLOAT_BYTES, CPUSpec, DeviceSpec
@@ -34,8 +31,6 @@ class CPUCSRKernel(SpMVKernel):
     ) -> None:
         super().__init__(matrix, device=device)
         self.cpu = cpu or CPUSpec.opteron_2218()
-        self.csr = CSRMatrix.from_coo(self.coo)
-        self.storage = self.csr
 
     def _compute_cost(self) -> CostReport:
         cpu = self.cpu

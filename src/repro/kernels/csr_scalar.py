@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import SparseMatrix
-from repro.formats.csr import CSRMatrix
 from repro.gpu.costs import CostReport
 from repro.gpu.launch import kernel_launch_seconds
 from repro.gpu.memory import (
@@ -22,7 +20,6 @@ from repro.gpu.memory import (
     streamed_bytes,
 )
 from repro.gpu.scheduler import schedule_warps
-from repro.gpu.spec import DeviceSpec
 from repro.kernels import calibration as cal
 from repro.kernels.base import SpMVKernel, register
 from repro.kernels.xaccess import untiled_x_cost
@@ -34,17 +31,10 @@ __all__ = ["CSRScalarKernel"]
 class CSRScalarKernel(SpMVKernel):
     """One thread per row over CSR storage."""
 
-    def __init__(
-        self, matrix: SparseMatrix, *, device: DeviceSpec | None = None
-    ) -> None:
-        super().__init__(matrix, device=device)
-        self.csr = CSRMatrix.from_coo(self.coo)
-        self.storage = self.csr
-
     def _compute_cost(self) -> CostReport:
         device = self.device
-        lengths = self.csr.row_lengths().astype(np.float64)
-        n_rows = self.csr.n_rows
+        lengths = self.coo.row_lengths().astype(np.float64)
+        n_rows = self.coo.n_rows
         # One warp covers `warp_size` consecutive rows; the warp runs for
         # as long as its longest row (SIMT lockstep).
         n_warps = -(-n_rows // device.warp_size) if n_rows else 0

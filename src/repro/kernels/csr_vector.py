@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.base import SparseMatrix
-from repro.formats.csr import CSRMatrix
 from repro.gpu.costs import CostReport
 from repro.gpu.launch import kernel_launch_seconds
 from repro.gpu.memory import bandwidth_saturation, streamed_bytes
 from repro.gpu.scheduler import schedule_warps
-from repro.gpu.spec import DeviceSpec
 from repro.kernels import calibration as cal
 from repro.kernels.base import SpMVKernel, register
 from repro.kernels.xaccess import untiled_x_cost
@@ -29,17 +26,10 @@ __all__ = ["CSRVectorKernel"]
 class CSRVectorKernel(SpMVKernel):
     """One warp per row over CSR storage."""
 
-    def __init__(
-        self, matrix: SparseMatrix, *, device: DeviceSpec | None = None
-    ) -> None:
-        super().__init__(matrix, device=device)
-        self.csr = CSRMatrix.from_coo(self.coo)
-        self.storage = self.csr
-
     def _compute_cost(self) -> CostReport:
         device = self.device
-        lengths = self.csr.row_lengths().astype(np.float64)
-        n_rows = self.csr.n_rows
+        lengths = self.coo.row_lengths().astype(np.float64)
+        n_rows = self.coo.n_rows
         strides = np.ceil(lengths / device.warp_size)
         x_cost = untiled_x_cost(self.coo.col_lengths(), device)
         instr = (
@@ -60,7 +50,7 @@ class CSRVectorKernel(SpMVKernel):
         seg = device.segment_bytes
         useful_bytes = 8 * lengths  # value + index arrays per row
         segments = np.ceil(useful_bytes / seg) + (lengths > 0)
-        aligned = (self.csr.indptr[:-1] * 4) % seg == 0
+        aligned = (self.coo.row_pointer()[:-1] * 4) % seg == 0
         misaligned_factor = np.where(aligned, 1.0, 2.0)
         matrix_dram = float((segments * misaligned_factor).sum()) * seg
         pointer_bytes = streamed_bytes(4 * (n_rows + 1), device)

@@ -31,7 +31,6 @@ class DIAKernel(SpMVKernel):
     ) -> None:
         super().__init__(matrix, device=device)
         self.dia = DIAMatrix.from_coo(self.coo)
-        self.storage = self.dia
 
     def _compute_cost(self) -> CostReport:
         device = self.device

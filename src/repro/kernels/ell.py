@@ -79,7 +79,6 @@ class ELLKernel(SpMVKernel):
     ) -> None:
         super().__init__(matrix, device=device)
         self.ell = ELLMatrix.from_coo(self.coo)
-        self.storage = self.ell
 
     def _compute_cost(self) -> CostReport:
         x_cost = untiled_x_cost(self.coo.col_lengths(), self.device)

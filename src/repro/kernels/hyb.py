@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
-from repro.formats.hyb import HYBMatrix, hyb_split
+from repro.formats.hyb import hyb_split
 from repro.gpu.costs import CostReport
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, register
@@ -29,11 +29,8 @@ class HYBKernel(SpMVKernel):
     The cost model reads the split off ``self.coo`` through the same
     :func:`~repro.formats.hyb.hyb_split` the format uses — the ELL
     width, the head and tail non-zero and column counts, and the tail's
-    rows — so :meth:`cost` never builds the
-    :class:`~repro.formats.hyb.HYBMatrix`.  The split (:attr:`hyb`, the
-    kernel's :attr:`storage`) is built only when a caller runs
-    :meth:`spmv` by hand; a mining run, which only prices the kernel,
-    never builds it.
+    rows — so pricing never builds the
+    :class:`~repro.formats.hyb.HYBMatrix`.
     """
 
     def __init__(
@@ -47,19 +44,6 @@ class HYBKernel(SpMVKernel):
         if ell_width is not None and ell_width < 0:
             raise ValidationError(f"ell_width must be >= 0, got {ell_width}")
         self.ell_width = ell_width
-        self._hyb: HYBMatrix | None = None
-
-    @property
-    def hyb(self) -> HYBMatrix:
-        """The ELL/COO split, built on first use (a concurrent first use
-        may build it twice; both builds are identical)."""
-        if self._hyb is None:
-            self._hyb = HYBMatrix.from_coo(self.coo, ell_width=self.ell_width)
-        return self._hyb
-
-    @property
-    def storage(self) -> HYBMatrix:
-        return self.hyb
 
     def _compute_cost(self) -> CostReport:
         device = self.device

@@ -43,7 +43,6 @@ class PKTKernel(SpMVKernel):
     ) -> None:
         super().__init__(matrix, device=device)
         self.pkt = PKTMatrix.from_coo(self.coo, n_packets=n_packets, seed=seed)
-        self.storage = self.pkt
 
     def _compute_cost(self) -> CostReport:
         device = self.device

@@ -154,7 +154,6 @@ class TileCompositeKernel(SpMVKernel):
             avoid_camping=avoid_camping,
             tile_width=tile_width,
         )
-        self.storage = self.matrix
 
     @property
     def n_tiles(self) -> int:

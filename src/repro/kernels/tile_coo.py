@@ -39,7 +39,6 @@ class TileCOOKernel(SpMVKernel):
         self.matrix: TileCOOMatrix = build_tile_coo(
             self.coo, self.device, n_tiles=n_tiles, tile_width=tile_width
         )
-        self.storage = self.matrix
 
     @property
     def n_tiles(self) -> int:

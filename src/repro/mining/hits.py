@@ -72,7 +72,6 @@ def hits(
     tol: float = 1e-8,
     max_iter: int = 200,
     multi_vector: bool = True,
-    executor=None,
     n_shards: int | str | None = None,
     tune: bool = False,
     checkpoint=None,
@@ -93,7 +92,7 @@ def hits(
     (each half of each column is either the wanted product or exact
     zeros, so the sum is bit-identical to the single-vector path).
 
-    ``executor``/``n_shards`` route the per-iteration SpMV/SpMM through
+    ``n_shards`` routes the per-iteration SpMV/SpMM through
     a :class:`~repro.exec.ShardedExecutor` built on the block operator
     (the combined matrix is exactly the kind of larger, sparser matrix
     shard balance pays off on); iterates stay bit-identical.
@@ -112,8 +111,7 @@ def hits(
     """
     with mining_setup(
         adjacency, "hits", hits_operator, kernel, device=device,
-        kernel_options=kernel_options, executor=executor,
-        n_shards=n_shards, tune=tune,
+        kernel_options=kernel_options, n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
         engine, n = run.engine, run.operator.n_rows // 2

@@ -91,7 +91,6 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iter: int = 200,
-    executor=None,
     n_shards: int | str | None = None,
     tune: bool = False,
     checkpoint=None,
@@ -110,17 +109,16 @@ def pagerank(
         Kernel name (built on ``W^T``) or a pre-built kernel instance.
     damping:
         The paper sets ``c = 0.85``.
-    executor, n_shards:
+    n_shards:
         Run the per-iteration SpMV through a
-        :class:`~repro.exec.ShardedExecutor` — either a caller-owned one
-        (built on the PageRank operator) or one with ``n_shards`` shards
+        :class:`~repro.exec.ShardedExecutor` with ``n_shards`` shards
         (``"auto"`` for the nnz/cores policy), built on the first such
         run and cached on ``adjacency`` for later ones.  The iterates
         are bit-identical to the single-shard run.
     tune:
         Let the measured auto-tuner (:func:`repro.tuner.tune`) decide
         the execution configuration for the PageRank operator —
-        mutually exclusive with ``executor``/``n_shards``.  Decisions
+        mutually exclusive with ``n_shards``.  Decisions
         are persisted in the tuning cache, so only the first run on a
         matrix pays for measurement.
     checkpoint:
@@ -151,8 +149,7 @@ def pagerank(
         raise ValidationError(f"damping must be in (0, 1), got {damping}")
     with mining_setup(
         adjacency, "pagerank", pagerank_operator, kernel, device=device,
-        kernel_options=kernel_options, executor=executor,
-        n_shards=n_shards, tune=tune,
+        kernel_options=kernel_options, n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
         source_major=pagerank_csc,
     ) as run:

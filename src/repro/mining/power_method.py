@@ -153,16 +153,16 @@ class RunSetup(NamedTuple):
     version: int  # the adjacency's data_version the operator was built at
 
 
-def _cold_scatter(executor, n_shards, tune: bool) -> bool:
+def _cold_scatter(n_shards, tune: bool) -> bool:
     """Whether a cache miss runs on the source-major operator: an
     ``"auto"`` request whose shard count the caller left to the policy
-    (no ``REPRO_SPMV_SHARDS``, ``executor=`` or ``tune=``), on a
-    default backend that runs a CSC without sorting it."""
+    (no ``REPRO_SPMV_SHARDS`` or ``tune=``), on a default backend that
+    runs a CSC without sorting it."""
     from repro.exec.backends import get_backend
     from repro.exec.sharded import env_shard_count
 
     return (
-        n_shards == "auto" and executor is None and not tune
+        n_shards == "auto" and not tune
         and env_shard_count() is None
         and get_backend().sort_free_csc
     )
@@ -177,7 +177,6 @@ def mining_setup(
     *,
     device,
     kernel_options: dict,
-    executor,
     n_shards,
     tune: bool,
     create,
@@ -228,9 +227,7 @@ def mining_setup(
         hit = entry.operator is not None and entry.version == version
         if not hit:
             entry.drop()
-            cold = source_major is not None and _cold_scatter(
-                executor, n_shards, tune
-            )
+            cold = source_major is not None and _cold_scatter(n_shards, tune)
             operator = (source_major if cold else build)(adjacency.to_coo())
             entry.fingerprint = fingerprint(operator)
             entry.operator, entry.version = operator, version
@@ -247,7 +244,7 @@ def mining_setup(
         make_kernel = entry.kernel(
             kernel, device, kernel_options, create, fingerprint
         )
-        engine = resolve_engine(entry, executor, n_shards, tune=tune)
+        engine = resolve_engine(entry, n_shards, tune=tune)
         try:
             yield RunSetup(
                 entry.operator, entry.fingerprint, kernel_name, make_kernel,
@@ -281,47 +278,35 @@ def drop_setup(adjacency) -> dict[str, str]:
     return dropped
 
 
-def resolve_engine(entry, executor=None, n_shards=None, tune=False):
+def resolve_engine(entry, n_shards=None, tune=False):
     """Choose the object whose ``spmv``/``spmm`` drives a power loop.
 
-    A caller-owned ``executor`` (pre-built on the same operator,
-    reusable across runs) is used as-is and left open.  ``tune=True``
-    takes the operator's measured auto-tuned engine
+    ``tune=True`` takes the operator's measured auto-tuned engine
     (:meth:`~repro.formats.base.SparseMatrix.tuned_plan`, built by
     :meth:`~repro.tuner.TuningDecision.build_engine`: a plan for one
     shard, a ``ShardedExecutor`` for more) — mutually exclusive with
-    ``executor``/``n_shards``, which pin what the tuner would decide.
-    A cold source-major entry, or a run with neither ``n_shards`` nor
+    ``n_shards``, which pins what the tuner would decide.  A cold
+    source-major entry, or a run with neither ``n_shards`` nor
     ``REPRO_SPMV_SHARDS``, runs on the setup ``entry``'s operator
     itself: its ``spmv``/``spmm`` execute its cached plan on the
     default backend.  Otherwise ``n_shards`` (an int, ``"auto"`` for
     the nnz-and-cores policy, or ``None`` under ``REPRO_SPMV_SHARDS``,
     the CI configuration) takes the :class:`~repro.exec.ShardedExecutor`
-    the entry caches for that slot.  The cost-model kernel is never an
+    the entry caches for that slot, so runs that ask for the same
+    count reuse one executor.  The cost-model kernel is never an
     engine: it only prices the run.  Nothing is built per run and
     nothing is closed here.
     """
     from repro.exec.sharded import env_shard_count
 
     if tune:
-        if executor is not None or n_shards is not None:
+        if n_shards is not None:
             raise ValidationError(
                 "tune=True decides the executor configuration; do not "
-                "also pass executor= or n_shards="
+                "also pass n_shards="
             )
         entry.tuned = entry.operator.tuned_plan()
         return entry.tuned
-    if executor is not None:
-        if n_shards is not None:
-            raise ValidationError(
-                "pass either executor= or n_shards=, not both"
-            )
-        if executor.shape != entry.operator.shape:
-            raise ValidationError(
-                f"executor shape {executor.shape} does not match the "
-                f"operator shape {entry.operator.shape}"
-            )
-        return executor
     if entry.source_major or (n_shards is None and env_shard_count() is None):
         return entry.operator
     return entry.sharded_executor(n_shards)

@@ -69,7 +69,6 @@ def random_walk_with_restart(
     tol: float = 1e-8,
     max_iter: int = 200,
     batched: bool = True,
-    executor=None,
     n_shards: int | str | None = None,
     tune: bool = False,
     checkpoint=None,
@@ -93,7 +92,7 @@ def random_walk_with_restart(
     so per-query iteration counts and vectors are bit-identical to
     running the seeds one at a time.
 
-    ``executor``/``n_shards`` route each step's SpMV/SpMM through a
+    ``n_shards`` routes each step's SpMV/SpMM through a
     :class:`~repro.exec.ShardedExecutor` built on the column-normalised
     operator; walks stay bit-identical to the single-shard run.
 
@@ -123,8 +122,7 @@ def random_walk_with_restart(
         )
     with mining_setup(
         adjacency, "rwr", rwr_operator, kernel, device=device,
-        kernel_options=kernel_options, executor=executor,
-        n_shards=n_shards, tune=tune,
+        kernel_options=kernel_options, n_shards=n_shards, tune=tune,
         create=create, fingerprint=matrix_fingerprint,
     ) as run:
         n = run.operator.n_rows

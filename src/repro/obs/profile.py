@@ -48,6 +48,7 @@ def run_profile(
     import os
 
     from repro.exec.backends import default_backend_name, set_default_backend
+    from repro.exec.plan import PLAN_CACHE_STATS
     from repro.graphs.rmat import rmat_graph
     from repro.mining.hits import hits
     from repro.mining.pagerank import pagerank
@@ -74,6 +75,7 @@ def run_profile(
     _metrics.enable()
     _metrics.METRICS.reset()
     TRACE.reset()
+    plans_before = PLAN_CACHE_STATS.builds, PLAN_CACHE_STATS.hits
     try:
         with _span("profile", n_nodes=n_nodes, n_edges=n_edges):
             graph = rmat_graph(n_nodes, n_edges, seed=seed)
@@ -96,8 +98,8 @@ def run_profile(
                 )
 
         registry = _metrics.METRICS
-        plan_builds = registry.counter_total("plan.cache.builds")
-        plan_hits = registry.counter_total("plan.cache.hits")
+        plan_builds = PLAN_CACHE_STATS.builds - plans_before[0]
+        plan_hits = PLAN_CACHE_STATS.hits - plans_before[1]
         pool_hits = registry.counter_total("pool.hits")
         pool_misses = registry.counter_total("pool.misses")
         # Distribution, not noise: mean over the whole run plus p50/p99

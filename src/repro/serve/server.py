@@ -10,8 +10,7 @@ lowest-dependency framing the standard library can serve::
 Replies carry a SHA-256 checksum of the result vector's raw float64
 bytes, so a client can assert the bitwise guarantee end-to-end without
 shipping the full vector (pass ``"full": true`` to get it anyway).
-``{"op": "stats"}`` returns the SLA report, ``{"op": "revalidate"}``
-triggers the environment revalidation hook.
+``{"op": "stats"}`` returns the SLA report.
 
 ``run_selftest`` is the deployment smoke: spawn a service on a seeded
 R-MAT graph, fire N concurrent mixed queries, verify every seeded
@@ -65,8 +64,6 @@ async def _handle_line(service: QueryService, request: dict) -> dict:
     op = request.pop("op", "query")
     if op == "stats":
         return {"status": "ok", "stats": service.sla_report()}
-    if op == "revalidate":
-        return {"status": "ok", "revalidated": service.revalidate()}
     if op != "query":
         return {"status": "error", "error": f"unknown op {op!r}"}
     top_k = int(request.pop("top_k", 10))

@@ -34,12 +34,13 @@ Around the batcher:
   warming.  Touches include queries and ``notify_update``, so a hot
   update stream keeps its graph warm.  Evictions are reported against
   the operator's tuner fingerprint.
-* **Environment revalidation** — :meth:`QueryService.revalidate`
-  compares the tuner environment key (CPU count, affinity mask,
-  backends, library versions) with the one each warm graph warmed
-  under and drops the setup of the stale ones, so a long-lived server
-  that loses or gains cores re-tunes instead of serving shard plans
-  sized for a machine shape that no longer exists.
+* **Machine shape** — every batch resolves its engine through
+  :func:`~repro.mining.power_method.mining_setup`: a ``tune=True``
+  graph re-tunes when the tuner environment key (CPU count, affinity
+  mask, backends, library versions) moves, and an ``"auto"`` slot
+  rebuilds its executor when its shard count moves, so a long-lived
+  server that loses or gains cores never replays a shard plan sized
+  for a machine shape that no longer exists.
 * **SLA metrics** — queue depth gauge, batch width and per-query
   latency histograms (p50/p99 via ``repro.obs``), rejection / eviction
   / deadline-expiry counters, all free when observability is disabled.
@@ -67,7 +68,7 @@ from repro.mining.power_method import check_seed, drop_setup, mining_setup
 from repro.obs import metrics as _metrics
 from repro.obs.trace import trace
 from repro.serve.batch import WalkResult, seeded_batch, seeded_solo
-from repro.tuner.fingerprint import environment_key, matrix_fingerprint
+from repro.tuner.fingerprint import matrix_fingerprint
 
 __all__ = ["QueryReply", "QueryService", "SEEDED_ALGORITHMS"]
 
@@ -140,7 +141,6 @@ class _GraphEntry:
         self.n_shards = n_shards
         self.tune = tune
         self.state = "cold"
-        self.environment = None  # environment_key() when it warmed
         # (version, (tol, max_iter), MiningResult, adjacency snapshot)
         self.hits_memo = None
         self.lock = threading.Lock()  # serialises execution + warming
@@ -400,7 +400,7 @@ class QueryService:
                 with mining_setup(
                     entry.matrix, key,
                     getattr(importlib.import_module(module), builder),
-                    "coo", device=None, kernel_options={}, executor=None,
+                    "coo", device=None, kernel_options={},
                     n_shards=entry.n_shards, tune=entry.tune,
                     create=create, fingerprint=matrix_fingerprint,
                 ) as run, trace(
@@ -539,7 +539,7 @@ class QueryService:
             future.set_exception(exc)
 
     # ------------------------------------------------------------------
-    # Warming, eviction, revalidation
+    # Warming and eviction
     # ------------------------------------------------------------------
 
     def _warm_locked(self, entry) -> None:
@@ -552,7 +552,6 @@ class QueryService:
         if entry.state == "warm":
             return
         entry.state = "warm"
-        entry.environment = environment_key()
         with self._state_lock:
             warm = [
                 e for e in self._graphs.values()
@@ -590,30 +589,6 @@ class QueryService:
         entry.hits_memo = None
         entry.state = "cold"
 
-    def revalidate(self) -> list[str]:
-        """Re-check every warm graph against the *current* tuner
-        environment key and drop the setup of the stale ones, so their
-        next query rebuilds (a long-lived server whose affinity mask
-        changed must re-tune, not replay a shard decision sized for the
-        old machine shape).  Returns the affected graph names."""
-        environment = environment_key()
-        with self._state_lock:
-            entries = [e for e in self._graphs.values() if e.state == "warm"]
-        stale: list[str] = []
-        for entry in entries:
-            with entry.lock:
-                if entry.state != "warm" or entry.environment == environment:
-                    continue
-                for algorithm in drop_setup(entry.matrix):
-                    if _metrics._ENABLED:
-                        _metrics.METRICS.inc(
-                            "serve.revalidations",
-                            graph=entry.name, algorithm=algorithm,
-                        )
-                entry.environment = environment
-                stale.append(entry.name)
-        return sorted(stale)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -639,7 +614,6 @@ class QueryService:
             "coalesced": metrics.counter_total("serve.coalesced"),
             "rejected": metrics.counter_total("serve.rejected"),
             "evictions": metrics.counter_total("serve.evictions"),
-            "revalidations": metrics.counter_total("serve.revalidations"),
             "deadline_expired": metrics.counter_total(
                 "serve.deadline.expired"
             ),

@@ -23,7 +23,7 @@ import pytest
 
 from repro.exec import available_backends
 from repro.exec.backends import get_backend, set_default_backend
-from repro.exec.plan import CSCPlan
+from repro.exec.plan import COOPlan
 from repro.formats.coo import COOMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
@@ -105,10 +105,16 @@ def test_source_major_operator_runs_like_the_gather_operator(name, backend):
 
 
 def test_numpy_keeps_the_sorted_gather_for_a_csc():
-    plan = pagerank_csc(rmat_graph(256, 2048, seed=3)).spmv_plan("numpy")
-    assert isinstance(plan, CSCPlan)
-    assert plan.perm is not None
+    """On numpy a CSC runs the one canonical plan: the gather/reduce of
+    its row-sorted COO, bitwise the CSR plan of the same operator."""
+    adjacency = rmat_graph(256, 2048, seed=3)
+    csc = pagerank_csc(adjacency)
+    plan = csc.spmv_plan("numpy")
+    assert type(plan) is COOPlan
     assert not get_backend("numpy").sort_free_csc
+    x = np.random.default_rng(5).random(csc.n_cols)
+    csr = CSRMatrix.from_coo(pagerank_operator(adjacency))
+    assert np.array_equal(plan.execute(x), csr.spmv_plan("numpy").execute(x))
 
 
 # ----------------------------------------------------------------------

@@ -138,7 +138,9 @@ class TestAutotune:
             "tile-composite", graph, device=dev, **result.as_build_kwargs()
         )
         x = np.ones(graph.n_cols)
-        np.testing.assert_allclose(kernel.spmv(x), graph.spmv(x), atol=1e-9)
+        np.testing.assert_allclose(
+            kernel.matrix.spmv(x), graph.spmv(x), atol=1e-9
+        )
 
     def test_tuned_kernel_flag(self, graph, dev):
         kernel = create("tile-composite", graph, device=dev, tuned=True)
@@ -271,7 +273,7 @@ class TestDegenerateScoreTables:
         )
         x = np.ones(graph.n_cols)
         np.testing.assert_allclose(
-            kernel.spmv(x), graph.spmv(x), atol=1e-9
+            kernel.matrix.spmv(x), graph.spmv(x), atol=1e-9
         )
 
     def test_exhaustive_search_nan_costs_fall_back(

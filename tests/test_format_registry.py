@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.exec import available_backends
 from repro.formats import registry
+from repro.formats.base import SparseMatrix
 from repro.formats.convert import to_format
 from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix
 from repro.formats.registry import (
     FormatSpec,
     discover_entry_points,
@@ -124,6 +127,49 @@ def test_model_kernel_map_covers_zoo():
     assert kernel_map["cmrs"] == "cmrs"
     assert kernel_map["rgcsr"] == "rgcsr"
     assert kernel_map["csr-mergepath"] == "mpcsr"
+
+
+class ColumnBag(SparseMatrix):
+    """A plugin that defines only ``nnz``, ``nbytes`` and ``to_coo``:
+    its triples are kept in column order and it has no plan of its
+    own."""
+
+    def __init__(self, coo: COOMatrix) -> None:
+        order = coo.column_order()
+        self.shape = coo.shape
+        self.rows = coo.rows[order]
+        self.cols = coo.cols[order]
+        self.data = coo.data[order]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def nbytes(self) -> int:
+        return self._array_bytes(self.rows, self.cols, self.data)
+
+    def to_coo(self) -> COOMatrix:
+        return COOMatrix.from_unsorted(
+            self.rows, self.cols, self.data, self.shape,
+            sum_duplicates=False,
+        )
+
+
+@pytest.mark.parametrize(
+    "backend", sorted({"numpy", "scipy"} & set(available_backends()))
+)
+def test_plugin_without_a_plan_runs_the_canonical_one(backend):
+    coo = small_coo(seed=9)
+    bag = ColumnBag(coo)
+    reference = CSRMatrix.from_coo(coo)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(coo.n_cols)
+    X = rng.standard_normal((coo.n_cols, 3))
+    plan = bag.spmv_plan(backend)
+    want = reference.spmv_plan(backend)
+    assert np.array_equal(plan.execute(x), want.execute(x))
+    assert np.array_equal(plan.execute_many(X), want.execute_many(X))
 
 
 # ----------------------------------------------------------------------

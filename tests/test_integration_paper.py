@@ -147,4 +147,4 @@ class TestDiscussionClaims:
         tile = create(
             "tile-composite", flickr.matrix, device=flickr_device
         )
-        np.testing.assert_allclose(tile.spmv(x), base, atol=1e-8)
+        np.testing.assert_allclose(tile.matrix.spmv(x), base, atol=1e-8)

@@ -1,9 +1,16 @@
-"""Every kernel must compute the exact product on every matrix class."""
+"""Every kernel's format must compute the exact product on every
+matrix class.
+
+A kernel only prices; the product belongs to the storage it models:
+the registered format of that name (``to_format``), or the kernel's own
+tiled storage (``kernel.matrix``) for the tile kernels.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import FormatNotApplicableError, ValidationError
+from repro.formats.convert import to_format
 from repro.graphs.chung_lu import chung_lu_graph
 from repro.graphs.synthetic import (
     banded_matrix,
@@ -17,6 +24,27 @@ from repro.kernels import available_kernels, create
 from tests.conftest import random_coo
 
 ALL_KERNELS = available_kernels()
+
+#: The registered format each non-tiled kernel executes on.
+KERNEL_FORMATS = {
+    "cpu-csr": "csr",
+    "csr": "csr",
+    "csr-vector": "csr",
+    "bsk-bdw": "csr",
+    "coo": "coo",
+    "ell": "ell",
+    "hyb": "hyb",
+    "dia": "dia",
+    "pkt": "pkt",
+}
+TILE_KERNELS = ("tile-coo", "tile-composite")
+
+
+def kernel_format(kernel):
+    """The storage whose exact product ``kernel`` prices."""
+    if kernel.name in TILE_KERNELS:
+        return kernel.matrix
+    return to_format(kernel.coo, KERNEL_FORMATS[kernel.name])
 
 MATRICES = {
     "powerlaw": lambda: chung_lu_graph(800, 6000, seed=1),
@@ -38,7 +66,13 @@ def test_kernel_spmv_exact(kernel_name, matrix_name, small_cache_device):
     except FormatNotApplicableError:
         pytest.skip(f"{kernel_name} not applicable to {matrix_name}")
     expected = matrix.to_dense() @ x
-    np.testing.assert_allclose(kernel.spmv(x), expected, atol=1e-9)
+    np.testing.assert_allclose(
+        kernel_format(kernel).spmv(x), expected, atol=1e-9
+    )
+
+
+def test_every_kernel_names_its_format():
+    assert set(KERNEL_FORMATS) | set(TILE_KERNELS) == set(ALL_KERNELS)
 
 
 @pytest.mark.parametrize("kernel_name", ALL_KERNELS)
@@ -100,7 +134,7 @@ def test_tile_composite_explicit_params(powerlaw_matrix, small_cache_device):
     assert kernel.n_tiles == 2
     x = np.ones(powerlaw_matrix.n_cols)
     np.testing.assert_allclose(
-        kernel.spmv(x), powerlaw_matrix.spmv(x), atol=1e-9
+        kernel.matrix.spmv(x), powerlaw_matrix.spmv(x), atol=1e-9
     )
 
 
@@ -111,7 +145,7 @@ def test_tile_coo_explicit_tiles(powerlaw_matrix, small_cache_device):
     assert kernel.n_tiles == 1
     x = np.ones(powerlaw_matrix.n_cols)
     np.testing.assert_allclose(
-        kernel.spmv(x), powerlaw_matrix.spmv(x), atol=1e-9
+        kernel.matrix.spmv(x), powerlaw_matrix.spmv(x), atol=1e-9
     )
 
 
@@ -121,5 +155,5 @@ def test_empty_matrix_kernels():
     empty = COOMatrix([], [], [], (10, 10))
     for name in ("coo", "csr", "hyb", "cpu-csr"):
         kernel = create(name, empty)
-        assert np.allclose(kernel.spmv(np.ones(10)), 0.0)
+        assert np.allclose(kernel_format(kernel).spmv(np.ones(10)), 0.0)
         assert kernel.cost().time_seconds >= 0

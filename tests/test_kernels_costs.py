@@ -4,6 +4,7 @@ must emerge from the models."""
 import numpy as np
 import pytest
 
+from repro.formats.hyb import HYBMatrix
 from repro.graphs.chung_lu import chung_lu_graph
 from repro.graphs.synthetic import dense_matrix, uniform_random_matrix
 from repro.gpu.spec import CPUSpec, DeviceSpec
@@ -149,8 +150,12 @@ class TestMechanisms:
         assert fast.time_seconds < slow.time_seconds
 
     def test_hyb_width_override_changes_split(self, graph):
-        pure_coo = create("hyb", graph, ell_width=0)
-        assert pure_coo.hyb.ell.nnz == 0
+        assert HYBMatrix.from_coo(graph, ell_width=0).ell.nnz == 0
+        # Width 0 prices a pure COO tail: no ELL component at all.
+        details = create("hyb", graph, ell_width=0).cost().details
+        assert details and all(k.startswith("hyb-coo") for k in details)
+        split = create("hyb", graph).cost().details
+        assert any(k.startswith("hyb-ell") for k in split)
 
     def test_details_expose_hit_rate(self, graph, graph_device):
         cost = create("hyb", graph, device=graph_device).cost()

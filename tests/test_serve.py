@@ -4,9 +4,9 @@ The load-bearing contract is the **bitwise coalescing guarantee**:
 every column of a coalesced batch equals the solo run of that query on
 an engine of the same configuration, bit for bit — batching is a
 throughput optimisation that must be invisible in the numbers.  Around
-it: admission control, per-query deadlines, warm/cold eviction, the
-environment revalidation hook, the SLA metrics, and the JSON-lines
-TCP front-end.  (The hypothesis interleaving suite lives in
+it: admission control, per-query deadlines, warm/cold eviction, a
+machine-shape change under a warm graph, the SLA metrics, and the
+JSON-lines TCP front-end.  (The hypothesis interleaving suite lives in
 ``test_serve_property.py``.)
 """
 
@@ -277,7 +277,7 @@ class TestQueryService:
 
 
 # ----------------------------------------------------------------------
-# Dynamic graphs, eviction, revalidation
+# Dynamic graphs, eviction, machine shape
 # ----------------------------------------------------------------------
 
 
@@ -333,23 +333,21 @@ class TestLifecycle:
             METRICS.reset()
             (metrics_mod.enable if prior else metrics_mod.disable)()
 
-    def test_revalidate_rebuilds_on_environment_change(
+    def test_affinity_change_keeps_queries_bitwise(
         self, service, monkeypatch
     ):
         # Warm the engine, then change the affinity mask under the
-        # service: the explicit hook must rebuild, and queries must
-        # stay bitwise-correct afterwards.
+        # service: the next batch resolves its engine for the new shape
+        # and stays bitwise-correct.
         first = raise_errors(gather(service, [
             {"graph": "g", "algorithm": "ppr", "seed": 9},
         ]))[0]
-        assert service.revalidate() == []  # environment unchanged
         # Derived from the real affinity, so the change is real on
         # every host shape.
         cores = available_cpu_count() + 1
         monkeypatch.setattr(
             "repro.exec.sharded.available_cpu_count", lambda: cores
         )
-        assert service.revalidate() == ["g"]
         second = raise_errors(gather(service, [
             {"graph": "g", "algorithm": "ppr", "seed": 9},
         ]))[0]

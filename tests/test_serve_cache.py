@@ -107,11 +107,11 @@ def test_every_service_rebuild_is_one_miss(counting, monkeypatch):
         monkeypatch.setattr(
             "repro.exec.sharded.available_cpu_count", lambda: cores
         )
-        assert service.revalidate() == ["dyn"]
-        assert service.revalidate() == []
+        # A ``None`` slot's engine does not depend on the machine
+        # shape: the next batch reuses the setup.
         [reply] = ask(service, query)
-        assert counting("miss") == 4
-        assert counting("hit") == 3
+        assert counting("miss") == 3
+        assert counting("hit") == 4
     assert np.array_equal(reply.vector, reply.solo().vector)
 
 

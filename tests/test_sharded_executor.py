@@ -501,33 +501,6 @@ def test_rwr_sharded_matches_default_bitwise(batched):
     assert np.array_equal(base.vector, sharded.vector)
 
 
-def test_caller_owned_executor_is_reused_and_left_open():
-    graph = mining_graph(seed=73)
-    operator = pagerank_operator(graph.to_coo())
-    base = pagerank(graph, kernel="csr")
-    with ShardedExecutor(operator, 4) as ex:
-        first = pagerank(graph, kernel="csr", executor=ex)
-        second = pagerank(graph, kernel="csr", executor=ex)
-        assert ex.executions >= first.iterations + second.iterations
-    assert np.array_equal(first.vector, base.vector)
-    assert np.array_equal(second.vector, base.vector)
-
-
-def test_mining_rejects_executor_and_shards_together():
-    graph = mining_graph(seed=74)
-    operator = pagerank_operator(graph.to_coo())
-    with ShardedExecutor(operator, 2) as ex:
-        with pytest.raises(ValidationError):
-            pagerank(graph, kernel="csr", executor=ex, n_shards=2)
-
-
-def test_mining_rejects_mismatched_executor_shape():
-    graph = mining_graph(seed=75)
-    with ShardedExecutor(random_coo(seed=76), 2) as ex:
-        with pytest.raises(ValidationError):
-            pagerank(graph, kernel="csr", executor=ex)
-
-
 def test_env_shards_force_mining_onto_executor(monkeypatch):
     graph = mining_graph(seed=77)
     base = pagerank(graph, kernel="csr")

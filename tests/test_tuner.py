@@ -454,12 +454,6 @@ class TestIntegration:
     def test_tune_conflicts_with_explicit_engine(self, matrix):
         with pytest.raises(ValidationError):
             pagerank(matrix, tune=True, n_shards=2)
-        executor = ShardedExecutor(matrix, 1)
-        try:
-            with pytest.raises(ValidationError):
-                pagerank(matrix, tune=True, executor=executor)
-        finally:
-            executor.close()
 
 
 # ----------------------------------------------------------------------
